@@ -29,7 +29,6 @@ from .oversamplers import (
     adasyn,
     adasyn_plan,
     borderline_smote,
-    knn_query,
     random_oversample,
     smote,
 )

@@ -86,6 +86,10 @@ class ExperimentConfig:
                 raise ConfigInvalidError(f"unknown classifier {c!r}; choose from {CLASSIFIERS}")
         if not self.datasets:
             raise ConfigInvalidError("need at least one dataset")
+        names = [d[0] for d in self.datasets]
+        for name in names:
+            if names.count(name) > 1:
+                raise ConfigInvalidError(f"duplicate dataset name {name!r}")
 
 
 @dataclass(frozen=True)
@@ -320,6 +324,18 @@ def synth_dataset(
     return Dataset(feats, labels, names)
 
 
+def write_ranks_csv(rank: RankTable, path: str | os.PathLike) -> None:
+    """ranks.csv: overall, then per-classifier mean ranks, repr-formatted."""
+    lines = ["classifier,sampler,mean_rank"]
+    for s in rank.samplers:
+        lines.append(f"overall,{s},{rank.overall[s]!r}")
+    for c in sorted(rank.per_classifier):
+        for s in rank.samplers:
+            lines.append(f"{c},{s},{rank.per_classifier[c][s]!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def emit_report(
     report: MetricsReport,
     rank: RankTable | None,
@@ -349,14 +365,7 @@ def emit_report(
         written.append(path)
         if rank is not None:
             rpath = os.path.join(out_dir, "ranks.csv")
-            rlines = ["classifier,sampler,mean_rank"]
-            for s in rank.samplers:
-                rlines.append(f"overall,{s},{rank.overall[s]!r}")
-            for c in sorted(rank.per_classifier):
-                for s in rank.samplers:
-                    rlines.append(f"{c},{s},{rank.per_classifier[c][s]!r}")
-            with open(rpath, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(rlines) + "\n")
+            write_ranks_csv(rank, rpath)
             written.append(rpath)
     else:
         path = os.path.join(out_dir, "report.md")

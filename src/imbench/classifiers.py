@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import nn
 from .data import Dataset
 from .errors import DimensionMismatchError, SingleClassError
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def _require_both_classes(train: Dataset) -> None:
@@ -103,7 +100,7 @@ class LogisticModel(TrainedClassifier):
 
     def predict_proba(self, features):
         x = self._check(features)
-        return _sigmoid(x @ self.weights + self.bias)
+        return nn.sigmoid(x @ self.weights + self.bias)
 
 
 def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticModel:
@@ -115,7 +112,7 @@ def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticMode
     w = np.zeros(train.n_features)
     b = 0.0
     for _ in range(spec.iterations):
-        p = _sigmoid(x @ w + b)
+        p = nn.sigmoid(x @ w + b)
         err = (p - y) / n
         w = w - spec.learning_rate * (x.T @ err)
         b = b - spec.learning_rate * float(err.sum())
@@ -123,10 +120,12 @@ def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticMode
 
 
 # ---------------------------------------------------------------------------
-# CART / random forest
+# tree core shared by the random forest and gradient boosting
 
 
 class _Node:
+    """A leaf while left is None; value is the RF class or the GBT weight."""
+
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self):
@@ -137,82 +136,93 @@ class _Node:
         self.value = 0
 
 
-def _gini_split(x_col: np.ndarray, y01: np.ndarray) -> tuple[float, float] | None:
-    """Best (cost, threshold) for one feature by weighted Gini; None when the
-    column is constant. Lowest threshold wins cost ties."""
+def _best_cut(x_col: np.ndarray, cost) -> tuple[float, float] | None:
+    """Lowest (cost, threshold) over the cuts between distinct values of one
+    feature column; None when the column is constant. cost(order, cut)
+    scores every cut, given the stable argsort of the column and each cut's
+    last sorted position on the left. Lowest threshold wins cost ties."""
     order = np.argsort(x_col, kind="stable")
     xo = x_col[order]
-    yo = y01[order]
     cut = np.flatnonzero(xo[:-1] < xo[1:])
     if cut.size == 0:
         return None
-    n = x_col.size
-    c1 = np.cumsum(yo)
+    c = cost(order, cut)
+    j = int(np.argmin(c))
+    return float(c[j]), float(0.5 * (xo[cut[j]] + xo[cut[j] + 1]))
+
+
+def _gini_cost(y01: np.ndarray, order: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Size-weighted Gini impurity of the two sides of each cut."""
+    n = y01.size
+    c1 = np.cumsum(y01[order])
     n_left = cut + 1.0
     n_right = n - n_left
     l1 = c1[cut]
     r1 = c1[-1] - l1
     g_left = 1.0 - (l1 / n_left) ** 2 - ((n_left - l1) / n_left) ** 2
     g_right = 1.0 - (r1 / n_right) ** 2 - ((n_right - r1) / n_right) ** 2
-    cost = (n_left * g_left + n_right * g_right) / n
-    j = int(np.argmin(cost))
-    threshold = 0.5 * (xo[cut[j]] + xo[cut[j] + 1])
-    return float(cost[j]), float(threshold)
+    return (n_left * g_left + n_right * g_right) / n
 
 
-def _build_cart(
-    x: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_depth: int | None,
-    min_samples_split: int,
-    n_candidates: int | None,
-) -> _Node:
-    """Iterative CART on class labels. Splits whenever a node is impure and a
-    valid cut exists (zero-gain splits allowed, so XOR-style data still gets
-    separated). n_candidates limits how many non-constant features are
-    evaluated per node; None means all, in index order."""
+def _neg_gain_cost(g, h, lam, order, cut) -> np.ndarray:
+    """Minus the second-order gain of each cut (XGBoost's exact greedy
+    search), so the lowest cost is the largest gain."""
+    gl = np.cumsum(g[order])[cut]
+    hl = np.cumsum(h[order])[cut]
+    g_tot, h_tot = g.sum(), h.sum()
+    gr = g_tot - gl
+    hr = h_tot - hl
+    return -0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
+
+
+def _best_split(x, idx, features, cost, n_candidates=None, max_cost=math.inf):
+    """(feature, threshold) of the lowest-cost cut of rows idx, or None.
+    A later feature must beat the best by more than 1e-15, so the first in
+    order wins a tie; one whose best cost is not below max_cost is skipped.
+    Stops after n_candidates features with a cut (None: all)."""
+    best = None
+    evaluated = 0
+    for f in features:
+        res = _best_cut(x[idx, f], cost)
+        if res is None or res[0] >= max_cost:
+            continue
+        evaluated += 1
+        if best is None or res[0] < best[0] - 1e-15:
+            best = (res[0], int(f), res[1])
+        if evaluated == n_candidates:
+            break
+    return None if best is None else best[1:]
+
+
+def _grow_tree(x, leaf_value, find_split, max_depth, min_samples_split) -> _Node:
+    """Iterative, so unlimited depth cannot hit the recursion limit. A node
+    with rows idx gets leaf_value(idx), then, unless it is under
+    min_samples_split rows or at max_depth (None: unlimited), the (feature,
+    threshold) of find_split(idx) or None for a leaf. Rows with
+    x[:, feature] < threshold go left; right children are grown first,
+    which fixes the order of any random draws in find_split."""
     root = _Node()
     stack = [(root, np.arange(x.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
-        ones = int(y[idx].sum())
-        node.value = 1 if 2 * ones >= idx.size else 0
-        if ones == 0 or ones == idx.size:
-            continue
+        node.value = leaf_value(idx)
         if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth):
             continue
-        feat_order = (
-            np.arange(x.shape[1]) if n_candidates is None else rng.permutation(x.shape[1])
-        )
-        best = None
-        evaluated = 0
-        for f in feat_order:
-            res = _gini_split(x[idx, f], y[idx])
-            if res is None:
-                continue
-            evaluated += 1
-            cost, thr = res
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, int(f), thr)
-            if n_candidates is not None and evaluated >= n_candidates:
-                break
-        if best is None:
+        split = find_split(idx)
+        if split is None:
             continue
-        _, f, thr = best
-        node.feature = f
-        node.threshold = thr
-        mask = x[idx, f] < thr
-        node.left = _Node()
-        node.right = _Node()
+        node.feature, node.threshold = split
+        mask = x[idx, node.feature] < node.threshold
+        node.left, node.right = _Node(), _Node()
         stack.append((node.left, idx[mask], depth + 1))
         stack.append((node.right, idx[~mask], depth + 1))
     return root
 
 
-def _tree_apply(root: _Node, x: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
-    # iterative: unlimited-depth trees must not hit the recursion limit
-    stack = [(root, idx)]
+def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
+    """The value of each row's leaf, as float64."""
+    out = np.empty(x.shape[0])
+    stack = [(root, np.arange(x.shape[0]))]
     while stack:
         node, rows = stack.pop()
         if node.left is None:
@@ -221,6 +231,32 @@ def _tree_apply(root: _Node, x: np.ndarray, out: np.ndarray, idx: np.ndarray) ->
         mask = x[rows, node.feature] < node.threshold
         stack.append((node.left, rows[mask]))
         stack.append((node.right, rows[~mask]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# CART / random forest
+
+
+def _cart_tree(x, y, rng, max_depth, min_samples_split, n_candidates) -> _Node:
+    """CART on class labels. Splits whenever a node is impure and a valid
+    cut exists (zero-gain splits allowed, so XOR-style data still gets
+    separated). n_candidates limits how many non-constant features are
+    evaluated per node, in an order drawn from rng; None means all, in index
+    order."""
+
+    def leaf_value(idx):
+        return 1 if 2 * int(y[idx].sum()) >= idx.size else 0
+
+    def find_split(idx):
+        yi = y[idx]
+        ones = int(yi.sum())
+        if ones == 0 or ones == idx.size:
+            return None
+        features = range(x.shape[1]) if n_candidates is None else rng.permutation(x.shape[1])
+        return _best_split(x, idx, features, partial(_gini_cost, yi), n_candidates)
+
+    return _grow_tree(x, leaf_value, find_split, max_depth, min_samples_split)
 
 
 class ForestModel(TrainedClassifier):
@@ -234,10 +270,8 @@ class ForestModel(TrainedClassifier):
     def predict_proba(self, features):
         x = self._check(features)
         votes = np.zeros(x.shape[0])
-        out = np.empty(x.shape[0], dtype=np.int64)
         for tree in self.trees:
-            _tree_apply(tree, x, out, np.arange(x.shape[0]))
-            votes += out
+            votes += _tree_apply(tree, x)
         return votes / self.n_trees
 
 
@@ -261,7 +295,7 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
         else:
             idx = np.arange(train.n_rows)
         trees.append(
-            _build_cart(x[idx], y[idx], rng, spec.max_depth, spec.min_samples_split, n_candidates)
+            _cart_tree(x[idx], y[idx], rng, spec.max_depth, spec.min_samples_split, n_candidates)
         )
     return ForestModel(trees, train.n_features, spec.n_trees)
 
@@ -270,65 +304,18 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
 # gradient boosting with logistic loss
 
 
-class _GBTNode:
-    __slots__ = ("feature", "threshold", "left", "right", "weight")
+def _gbt_tree(x, g, h, max_depth, lam) -> _Node:
+    """Regression tree on gradients g and Hessians h: leaf weight
+    -G / (H + lam), split at the largest gain, which must exceed 1e-12."""
 
-    def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.weight = 0.0
+    def leaf_value(idx):
+        return -g[idx].sum() / (h[idx].sum() + lam)
 
+    def find_split(idx):
+        cost = partial(_neg_gain_cost, g[idx], h[idx], lam)
+        return _best_split(x, idx, range(x.shape[1]), cost, max_cost=-1e-12)
 
-def _gbt_best_split(x_col, g, h, lam) -> tuple[float, float] | None:
-    order = np.argsort(x_col, kind="stable")
-    xo = x_col[order]
-    cut = np.flatnonzero(xo[:-1] < xo[1:])
-    if cut.size == 0:
-        return None
-    go = g[order]
-    ho = h[order]
-    gl = np.cumsum(go)[cut]
-    hl = np.cumsum(ho)[cut]
-    g_tot, h_tot = g.sum(), h.sum()
-    gr = g_tot - gl
-    hr = h_tot - hl
-    gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
-    j = int(np.argmax(gain))
-    if gain[j] <= 1e-12:
-        return None
-    return float(gain[j]), 0.5 * (xo[cut[j]] + xo[cut[j] + 1])
-
-
-def _build_gbt_tree(x, g, h, depth, max_depth, lam) -> _GBTNode:
-    node = _GBTNode()
-    node.weight = -g.sum() / (h.sum() + lam)
-    if depth >= max_depth or x.shape[0] < 2:
-        return node
-    best = None
-    for f in range(x.shape[1]):
-        res = _gbt_best_split(x[:, f], g, h, lam)
-        if res is not None and (best is None or res[0] > best[0] + 1e-15):
-            best = (res[0], f, res[1])
-    if best is None:
-        return node
-    _, f, thr = best
-    node.feature = f
-    node.threshold = thr
-    mask = x[:, f] < thr
-    node.left = _build_gbt_tree(x[mask], g[mask], h[mask], depth + 1, max_depth, lam)
-    node.right = _build_gbt_tree(x[~mask], g[~mask], h[~mask], depth + 1, max_depth, lam)
-    return node
-
-
-def _gbt_apply(node: _GBTNode, x: np.ndarray, out: np.ndarray, idx: np.ndarray) -> None:
-    if node.left is None:
-        out[idx] = node.weight
-        return
-    mask = x[idx, node.feature] < node.threshold
-    _gbt_apply(node.left, x, out, idx[mask])
-    _gbt_apply(node.right, x, out, idx[~mask])
+    return _grow_tree(x, leaf_value, find_split, max_depth, min_samples_split=2)
 
 
 class BoostedModel(TrainedClassifier):
@@ -345,14 +332,12 @@ class BoostedModel(TrainedClassifier):
     def decision_function(self, features):
         x = self._check(features)
         score = np.full(x.shape[0], self.base_score)
-        out = np.empty(x.shape[0])
         for tree in self.trees:
-            _gbt_apply(tree, x, out, np.arange(x.shape[0]))
-            score += self.learning_rate * out
+            score += self.learning_rate * _tree_apply(tree, x)
         return score
 
     def predict_proba(self, features):
-        return _sigmoid(self.decision_function(features))
+        return nn.sigmoid(self.decision_function(features))
 
 
 def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
@@ -364,19 +349,17 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
     score = np.full(train.n_rows, base)
-    trees: list[_GBTNode] = []
+    trees: list[_Node] = []
     history = []
-    out = np.empty(train.n_rows)
     for _ in range(spec.rounds):
-        p = _sigmoid(score)
+        p = nn.sigmoid(score)
         history.append(float(nn.bce_loss(p, y)[0]))
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_gbt_tree(x, g, h, 0, spec.max_depth, spec.l2)
+        tree = _gbt_tree(x, g, h, spec.max_depth, spec.l2)
         trees.append(tree)
-        _gbt_apply(tree, x, out, np.arange(train.n_rows))
-        score = score + spec.learning_rate * out
-    history.append(float(nn.bce_loss(_sigmoid(score), y)[0]))
+        score = score + spec.learning_rate * _tree_apply(tree, x)
+    history.append(float(nn.bce_loss(nn.sigmoid(score), y)[0]))
     return BoostedModel(base, trees, spec.learning_rate, train.n_features, history)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import bench
 from .data import save_csv
+from .errors import ConfigInvalidError
 from .gan import TrainingConfig
 
 
@@ -82,7 +83,11 @@ def _cmd_run(args) -> int:
         master_seed=seed,
         gan_config=gan_config,
     )
-    config.validate()
+    try:
+        config.validate()
+    except ConfigInvalidError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = bench.run_benchmark(config, max_workers=args.workers)
     rank = None
     if len(config.samplers) >= 2 and report.cells and not report.failures:
@@ -105,23 +110,20 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    required = {"dataset", "classifier", "sampler", "f1"}
     table: dict[tuple[str, str, str], float] = {}
-    with open(args.f1_table, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"dataset", "classifier", "sampler", "f1"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            print(f"error: rank input needs columns {sorted(required)}", file=sys.stderr)
-            return 2
-        for row in reader:
-            table[(row["dataset"], row["classifier"], row["sampler"])] = float(row["f1"])
-    rank = bench.mean_rank(table)
-    lines = ["classifier,sampler,mean_rank"]
-    for s in rank.samplers:
-        lines.append(f"overall,{s},{rank.overall[s]!r}")
-    for c in sorted(rank.per_classifier):
-        for s in rank.samplers:
-            lines.append(f"{c},{s},{rank.per_classifier[c][s]!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        with open(args.f1_table, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise ValueError(f"rank input needs columns {sorted(required)}")
+            for row in reader:
+                table[(row["dataset"], row["classifier"], row["sampler"])] = float(row["f1"])
+        rank = bench.mean_rank(table)
+    except ValueError as exc:  # IncompleteTableError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    bench.write_ranks_csv(rank, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -25,11 +25,16 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function; z is clipped to [-500, 500] so exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return sigmoid(z)
     if name == "tanh":
         return np.tanh(z)
     if name == "identity":

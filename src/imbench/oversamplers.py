@@ -57,10 +57,6 @@ class KNNIndex:
         return order[:k]
 
 
-def knn_query(index: KNNIndex, point, k: int, exclude_self: bool = False) -> np.ndarray:
-    return index.query(point, k, exclude_self)
-
-
 @dataclass(frozen=True)
 class SynthesisPlan:
     """Per-minority-row synthetic counts; sums exactly to the total."""

@@ -12,6 +12,7 @@ from imbench.classifiers import (
     train_logreg,
     train_mlp_classifier,
     train_random_forest,
+    _gbt_tree,
 )
 from imbench.data import Dataset
 from imbench.errors import DimensionMismatchError, SingleClassError
@@ -137,6 +138,41 @@ class TestGBT:
         ds = make(rng.random((80, 4)), rng.integers(0, 2, 80))
         model = train_gbt(ds, GBTSpec(rounds=5, max_depth=3))
         assert all(depth(t) <= 3 for t in model.trees)
+
+
+class TestTreeRules:
+    """Split rules shared by the random forest and gradient boosting."""
+
+    def test_lowest_threshold_wins_a_gini_tie(self):
+        # the cuts at 0.5 and 2.5 both cost exactly 1/3
+        ds = make([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 0])
+        spec = ForestSpec(n_trees=1, max_depth=1, bootstrap=False, max_features=None)
+        root = train_random_forest(ds, spec).trees[0]
+        assert (root.feature, root.threshold) == (0, 0.5)
+
+    def test_first_feature_wins_an_exact_tie(self):
+        # column 0 is constant; columns 1 and 2 sort the rows alike, so
+        # their best cuts cost exactly the same
+        base = np.arange(6.0)
+        ds = make(np.column_stack([np.full(6, 7.0), base, 10.0 * base]), [0, 0, 0, 1, 1, 1])
+        rf = train_random_forest(
+            ds, ForestSpec(n_trees=1, max_depth=1, bootstrap=False, max_features=None)
+        )
+        gbt = train_gbt(ds, GBTSpec(rounds=1, max_depth=1))
+        for root in (rf.trees[0], gbt.trees[0]):
+            assert (root.feature, root.threshold) == (1, 2.5)
+
+    def test_pure_forest_node_stays_a_leaf(self):
+        # any cut of a pure node costs 0, so only the purity stop ends it
+        spec = ForestSpec(n_trees=1, bootstrap=False, max_features=None)
+        root = train_random_forest(separable_1d(), spec).trees[0]
+        assert root.left.left is None and root.right.left is None
+
+    def test_zero_gradient_gbt_node_stays_a_leaf(self):
+        # every cut has gain 0, which does not pass the 1e-12 floor
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        root = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), max_depth=3, lam=1.0)
+        assert root.left is None and root.value == 0.0
 
 
 class TestMLP:

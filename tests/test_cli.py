@@ -101,6 +101,33 @@ class TestRunCommand:
         )
         assert code == 1
 
+    def test_unknown_sampler_is_usage_error(self, tmp_path, capsys):
+        csv_path = write_toy_csv(tmp_path)
+        code = cli.main(
+            [
+                "run", "--dataset", csv_path, "--label-col", "y",
+                "--samplers", "bogus", "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown sampler 'bogus'") and err.count("\n") == 1
+
+    def test_duplicate_dataset_names_are_usage_error(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        paths = [write_toy_csv(tmp_path, name) for name in ("a/d.csv", "b/d.csv")]
+        out_dir = tmp_path / "out"
+        code = cli.main(
+            [
+                "run", "--dataset", paths[0], "--dataset", paths[1], "--label-col", "y",
+                "--samplers", "none", "--classifiers", "logreg", "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate dataset name 'd'\n"
+        assert not out_dir.exists()
+
     def test_missing_label_col_is_usage_error(self, tmp_path):
         csv_path = write_toy_csv(tmp_path)
         assert cli.main(["run", "--dataset", csv_path]) == 2
@@ -122,6 +149,38 @@ class TestRankCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "classifier,sampler,mean_rank"
         assert "overall,A,1.0" in lines[1]
+
+    def test_matches_the_runs_own_ranks_csv(self, tmp_path):
+        out_dir = tmp_path / "out"
+        code = cli.main(
+            [
+                "run", "--dataset", write_toy_csv(tmp_path), "--label-col", "y",
+                "--samplers", "none,ros,smote", "--classifiers", "logreg,gbt",
+                "--runs", "2", "--seed", "4", "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 0
+        table = tmp_path / "f1.csv"
+        rows = ["dataset,classifier,sampler,f1"]
+        for (d, s, c, m), (mean, _) in bench.parse_metrics_csv(out_dir / "metrics.csv").items():
+            if m == "f1":
+                rows.append(f"{d},{c},{s},{mean!r}")
+        table.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "ranks.csv"
+        assert cli.main(["rank", "--f1-table", str(table), "--out", str(out)]) == 0
+        assert out.read_bytes() == (out_dir / "ranks.csv").read_bytes()
+
+    def test_incomplete_table_is_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "f1.csv"
+        table.write_text("dataset,classifier,sampler,f1\nd1,c1,A,0.9\nd1,c1,B,0.5\nd2,c1,A,0.8\n")
+        assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "error: missing F1 for ('d2', 'c1', 'B')\n"
+
+    def test_non_numeric_f1_is_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "f1.csv"
+        table.write_text("dataset,classifier,sampler,f1\nd1,c1,A,high\n")
+        assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: could not convert")
 
     def test_bad_columns_rejected(self, tmp_path):
         table = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ class TestForward:
         expected = 1.0 / (1.0 + np.exp(-z1))
         out, _ = nn.forward(net, x)
         assert np.allclose(out, expected, atol=1e-12)
+
+    def test_sigmoid_saturates_without_overflow(self):
+        net = nn.MLPNetwork([nn.Layer(np.array([[1.0]]), np.array([0.0]), "sigmoid")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = nn.forward(net, np.array([[1000.0], [-1000.0]]))
+        assert out[0, 0] == 1.0
+        assert 0.0 <= out[1, 0] < 1e-200
 
     def test_relu_clips_negative(self):
         net = nn.MLPNetwork([nn.Layer(np.array([[1.0]]), np.array([0.0]), "relu")])

@@ -9,7 +9,6 @@ from imbench.oversamplers import (
     adasyn,
     adasyn_plan,
     borderline_smote,
-    knn_query,
     random_oversample,
     smote,
 )
@@ -52,12 +51,12 @@ class TestKnnQuery:
     def test_exclusion_contract(self):
         ref = np.array([[0.0], [1.0], [3.0], [7.0]])
         index = KNNIndex(ref)
-        got = knn_query(index, ref[1], 3, exclude_self=True)
+        got = index.query(ref[1], 3, exclude_self=True)
         assert 1 not in got.tolist()
 
     def test_hand_distances(self):
         index = KNNIndex(np.array([[0.0], [1.0], [3.0], [7.0]]))
-        got = knn_query(index, np.array([0.0]), 2, exclude_self=True)
+        got = index.query(np.array([0.0]), 2, exclude_self=True)
         assert got.tolist() == [1, 2]
 
     def test_matches_brute_force_for_all_k(self):
