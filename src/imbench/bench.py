@@ -10,6 +10,7 @@ sorts, so scheduling order cannot change the report.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import hashlib
 import os
 import warnings
@@ -38,6 +39,7 @@ from .oversamplers import adasyn, borderline_smote, random_oversample, smote
 SAMPLERS = ("none", "ros", "smote", "b-smote", "adasyn", "cgan", "sdg-gan")
 CLASSIFIERS = ("logreg", "rf", "gbt", "mlp")
 METRICS = ("recall", "precision", "f1")
+METRICS_CSV_HEADER = ["dataset", "sampler", "classifier", "metric", "mean", "std"]
 
 
 def compute_metrics(y_true, y_pred) -> tuple[float, float, float]:
@@ -76,6 +78,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.runs < 1:
             raise ConfigInvalidError("runs must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigInvalidError(f"test_fraction must be in (0,1), got {self.test_fraction}")
         if not self.samplers or not self.classifiers:
             raise ConfigInvalidError("need at least one sampler and one classifier")
         for s in self.samplers:
@@ -90,6 +94,7 @@ class ExperimentConfig:
         for name in names:
             if names.count(name) > 1:
                 raise ConfigInvalidError(f"duplicate dataset name {name!r}")
+        self.gan_config.validate()
 
 
 @dataclass(frozen=True)
@@ -199,6 +204,8 @@ def run_benchmark(
     from .data import load_csv
 
     config.validate()
+    if max_workers < 1:
+        raise ConfigInvalidError(f"workers must be >= 1, got {max_workers}")
     datasets: dict[str, Dataset] = {}
     for name, path, label_col in config.datasets:
         if loaded and name in loaded:
@@ -345,7 +352,8 @@ def emit_report(
     """Write the report (and optional rank table); returns written paths.
 
     CSV columns are exactly dataset,sampler,classifier,metric,mean,std with
-    float values repr-formatted so a re-parse round-trips bit-exactly.
+    float values repr-formatted so a re-parse round-trips bit-exactly; a
+    name holding a comma or quote is quoted.
     """
     if not report.cells and not report.failures:
         raise ValueError("refusing to write an empty report")
@@ -355,13 +363,13 @@ def emit_report(
     written = []
     if fmt == "csv":
         path = os.path.join(out_dir, "metrics.csv")
-        lines = ["dataset,sampler,classifier,metric,mean,std"]
-        for (d, s, c) in sorted(report.cells):
-            stats = report.cells[(d, s, c)]
-            for m in METRICS:
-                lines.append(f"{d},{s},{c},{m},{stats.mean[m]!r},{stats.std[m]!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(METRICS_CSV_HEADER)
+            for (d, s, c) in sorted(report.cells):
+                stats = report.cells[(d, s, c)]
+                for m in METRICS:
+                    writer.writerow([d, s, c, m, repr(stats.mean[m]), repr(stats.std[m])])
         written.append(path)
         if rank is not None:
             rpath = os.path.join(out_dir, "ranks.csv")
@@ -406,11 +414,11 @@ def parse_metrics_csv(path) -> dict[tuple[str, str, str, str], tuple[float, floa
     """Inverse of the CSV writer: (dataset, sampler, classifier, metric) ->
     (mean, std)."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "dataset,sampler,classifier,metric,mean,std":
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header != METRICS_CSV_HEADER:
             raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            d, s, c, m, mean, std = line.strip().split(",")
+        for d, s, c, m, mean, std in rows:
             out[(d, s, c, m)] = (float(mean), float(std))
     return out

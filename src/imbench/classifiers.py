@@ -398,7 +398,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
             out, cache = nn.forward(net, x[idx], training=True, seed=rng)
             _, grad = nn.bce_loss(out[:, 0], y[idx])
             grads, _ = nn.backward(net, cache, grad.reshape(-1, 1))
-            net.set_parameters(nn.adam_step(opt, net.parameters(), grads))
+            nn.adam_step(opt, net.parameters(), grads)
     return MLPModel(net)
 
 

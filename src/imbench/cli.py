@@ -17,49 +17,51 @@ from pathlib import Path
 
 from . import bench
 from .data import save_csv
-from .errors import ConfigInvalidError
+from .errors import ConfigInvalidError, ImbenchError
 from .gan import TrainingConfig
 
 
 def _parse_config_file(path: str) -> dict:
     out: dict = {"datasets": []}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        where = f"{path}:{line_no}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+            raise ConfigInvalidError(f"{where}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "dataset":
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: dataset needs 'name, path, label_column'")
+                raise ConfigInvalidError(f"{where}: dataset needs 'name, path, label_column'")
             out["datasets"].append(tuple(parts))
         elif key in ("samplers", "classifiers"):
             out[key] = tuple(p.strip() for p in value.split(",") if p.strip())
-        elif key in ("runs", "seed", "gan_epochs"):
-            out[key] = int(value)
-        elif key == "test_fraction":
-            out[key] = float(value)
+        elif key in ("runs", "seed", "gan_epochs", "test_fraction"):
+            kind = float if key == "test_fraction" else int
+            try:
+                out[key] = kind(value)
+            except ValueError:
+                raise ConfigInvalidError(f"{where}: {key} must be {kind.__name__}, got {value!r}") from None
         elif key in ("out_dir", "format"):
             out[key] = value
         else:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+            raise ConfigInvalidError(f"{where}: unknown key {key!r}")
     return out
 
 
-def _cmd_run(args) -> int:
+def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
+    """The experiment config, output directory and report format of ``bench run``."""
     file_cfg = _parse_config_file(args.config) if args.config else {"datasets": []}
     datasets = list(file_cfg["datasets"])
     if args.dataset:
         if not args.label_col:
-            print("error: --dataset requires --label-col", file=sys.stderr)
-            return 2
+            raise ConfigInvalidError("--dataset requires --label-col")
         for path in args.dataset:
             datasets.append((Path(path).stem, path, args.label_col))
     if not datasets:
-        print("error: no datasets (use --dataset or a config file)", file=sys.stderr)
-        return 2
+        raise ConfigInvalidError("no datasets (use --dataset or a config file)")
 
     samplers = tuple(args.samplers.split(",")) if args.samplers else file_cfg.get("samplers", bench.SAMPLERS)
     classifiers = (
@@ -69,6 +71,8 @@ def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     out_dir = args.out_dir or file_cfg.get("out_dir", "bench-out")
     fmt = args.format or file_cfg.get("format", "csv")
+    if fmt not in ("csv", "markdown"):
+        raise ConfigInvalidError(f"format must be csv or markdown, got {fmt!r}")
     gan_config = TrainingConfig()
     gan_epochs = args.gan_epochs if args.gan_epochs is not None else file_cfg.get("gan_epochs")
     if gan_epochs is not None:
@@ -83,12 +87,18 @@ def _cmd_run(args) -> int:
         master_seed=seed,
         gan_config=gan_config,
     )
+    return config, out_dir, fmt
+
+
+def _cmd_run(args) -> int:
+    # everything that can escape before the first cell runs is bad input:
+    # the flags, the config file, or a dataset file that is missing or malformed
     try:
-        config.validate()
-    except ConfigInvalidError as exc:
+        config, out_dir, fmt = _run_settings(args)
+        report = bench.run_benchmark(config, max_workers=args.workers)
+    except (ImbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = bench.run_benchmark(config, max_workers=args.workers)
     rank = None
     if len(config.samplers) >= 2 and report.cells and not report.failures:
         rank = bench.mean_rank(bench.report_to_f1_table(report))
@@ -120,7 +130,7 @@ def _cmd_rank(args) -> int:
             for row in reader:
                 table[(row["dataset"], row["classifier"], row["sampler"])] = float(row["f1"])
         rank = bench.mean_rank(table)
-    except ValueError as exc:  # IncompleteTableError is a ValueError
+    except (ValueError, OSError) as exc:  # IncompleteTableError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     bench.write_ranks_csv(rank, args.out)

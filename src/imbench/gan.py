@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -95,20 +94,6 @@ class GANModel:
         return self.generator.output_dim
 
 
-# prefix sub-networks share Layer objects with their parent, so a cached
-# prefix stays current across optimizer updates; keyed weakly by network
-_PREFIX_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _disc_prefix(disc: nn.MLPNetwork, layer_index: int) -> nn.MLPNetwork:
-    per_net = _PREFIX_CACHE.setdefault(disc, {})
-    prefix = per_net.get(layer_index)
-    if prefix is None or prefix.layers[-1] is not disc.layers[layer_index]:
-        prefix = nn.MLPNetwork(disc.layers[: layer_index + 1], dropout_rate=0.0)
-        per_net[layer_index] = prefix
-    return prefix
-
-
 def feature_matching_loss(
     disc: nn.MLPNetwork,
     real_batch: np.ndarray,
@@ -119,7 +104,8 @@ def feature_matching_loss(
     batches, plus its gradient w.r.t. the fake batch only.
 
     Both batches are conditioned discriminator inputs (label column
-    included). Features are taken at the indexed layer with dropout off.
+    included). Features are taken at the indexed layer with dropout off,
+    through a prefix network that shares the discriminator's live layers.
     """
     real = np.asarray(real_batch, dtype=np.float64)
     fake = np.asarray(fake_batch, dtype=np.float64)
@@ -131,7 +117,7 @@ def feature_matching_loss(
         )
     if not 0 <= feature_layer_index < len(disc.layers):
         raise IndexError(f"feature_layer_index {feature_layer_index} out of range")
-    prefix = _disc_prefix(disc, feature_layer_index)
+    prefix = nn.MLPNetwork(disc.layers[: feature_layer_index + 1])
     real_feat, _ = nn.forward(prefix, real, training=False)
     fake_out, fake_cache = nn.forward(prefix, fake, training=False)
     diff = real_feat.mean(axis=0) - fake_out.mean(axis=0)
@@ -194,7 +180,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
             d_out, d_cache = nn.forward(disc, real_in, training=True, seed=rng)
             loss_real, d_grad = nn.bce_loss(d_out[:, 0], np.ones(b))
             grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            disc.set_parameters(nn.adam_step(disc_opt, disc.parameters(), grads))
+            nn.adam_step(disc_opt, disc.parameters(), grads)
 
             # discriminator on generated rows (same label mix), target 0
             z = rng.standard_normal((b, config.noise_dim))
@@ -203,7 +189,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
             d_out, d_cache = nn.forward(disc, fake_in, training=True, seed=rng)
             loss_fake, d_grad = nn.bce_loss(d_out[:, 0], np.zeros(b))
             grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            disc.set_parameters(nn.adam_step(disc_opt, disc.parameters(), grads))
+            nn.adam_step(disc_opt, disc.parameters(), grads)
 
             # generator step: fresh noise, labels matching the real batch
             z2 = rng.standard_normal((b, config.noise_dim))
@@ -217,7 +203,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
                 _, fake_in_grad = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
             fake_grad = fake_in_grad[:, : train.n_features]  # label column is not learned
             grads, _ = nn.backward(gen, g_cache, fake_grad)
-            gen.set_parameters(nn.adam_step(gen_opt, gen.parameters(), grads))
+            nn.adam_step(gen_opt, gen.parameters(), grads)
 
             d_losses.append(0.5 * (loss_real + loss_fake))
             g_losses.append(g_loss)
@@ -270,20 +256,8 @@ def oversample_to_balance(model: GANModel, train: Dataset, seed: int = 0) -> Aug
 
 def save_model(model: GANModel, path) -> None:
     """GAN checkpoint: both networks plus config/range/label header in one npz."""
-    payload = {}
-    for prefix, net in (("g", model.generator), ("d", model.discriminator)):
-        for i, ly in enumerate(net.layers):
-            payload[f"{prefix}_w{i}"] = ly.weights
-            payload[f"{prefix}_b{i}"] = ly.bias
     header = {
-        "config": {
-            **{k: getattr(model.config, k) for k in (
-                "learning_rate", "epochs", "batch_size", "noise_dim", "dropout",
-            )},
-            "generator_hidden": list(model.config.generator_hidden),
-            "discriminator_hidden": list(model.config.discriminator_hidden),
-            "feature_layer_index": model.config.feature_layer_index,
-        },
+        "config": asdict(model.config),
         "range_map": [model.range_map.lo, model.range_map.hi],
         "minority_label": model.minority_label,
         "objective": model.objective,
@@ -293,38 +267,30 @@ def save_model(model: GANModel, path) -> None:
         "d_dropout": model.discriminator.dropout_rate,
         "loss_history": model.loss_history,
     }
-    payload["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **payload)
+    header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    np.savez(
+        path,
+        **nn.network_arrays(model.generator, "g_"),
+        **nn.network_arrays(model.discriminator, "d_"),
+        header=header_bytes,
+    )
 
 
 def load_model(path) -> GANModel:
     with np.load(path) as z:
         header = json.loads(bytes(z["header"]).decode("utf-8"))
-        nets = {}
-        for prefix, acts, rate in (
-            ("g", header["g_acts"], header["g_dropout"]),
-            ("d", header["d_acts"], header["d_dropout"]),
-        ):
-            layers = [
-                nn.Layer(z[f"{prefix}_w{i}"].copy(), z[f"{prefix}_b{i}"].copy(), act)
-                for i, act in enumerate(acts)
-            ]
-            nets[prefix] = nn.MLPNetwork(layers, rate)
+        gen = nn.network_from_arrays(z, "g_", header["g_acts"], header["g_dropout"])
+        disc = nn.network_from_arrays(z, "d_", header["d_acts"], header["d_dropout"])
     cfg = header["config"]
-    config = TrainingConfig(
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        noise_dim=cfg["noise_dim"],
-        dropout=cfg["dropout"],
-        generator_hidden=tuple(cfg["generator_hidden"]),
-        discriminator_hidden=tuple(cfg["discriminator_hidden"]),
-        feature_layer_index=cfg["feature_layer_index"],
-    )
+    config = TrainingConfig(**{
+        **cfg,
+        "generator_hidden": tuple(cfg["generator_hidden"]),
+        "discriminator_hidden": tuple(cfg["discriminator_hidden"]),
+    })
     lo, hi = header["range_map"]
     history = [tuple(pair) for pair in header["loss_history"]]
     return GANModel(
-        nets["g"], nets["d"], config, RangeMap(lo, hi),
+        gen, disc, config, RangeMap(lo, hi),
         header["minority_label"], history, header["objective"],
     )
 

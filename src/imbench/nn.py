@@ -82,6 +82,10 @@ class MLPNetwork:
         for ly in layers:
             if ly.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {ly.activation!r}")
+            # adam_step updates the arrays in place, so they must be float64;
+            # float64 arrays are kept as they are, shared with any prefix
+            ly.weights = np.asarray(ly.weights, dtype=np.float64)
+            ly.bias = np.asarray(ly.bias, dtype=np.float64)
             if not (np.all(np.isfinite(ly.weights)) and np.all(np.isfinite(ly.bias))):
                 raise ValueError("non-finite parameters")
         self.layers = layers
@@ -102,16 +106,6 @@ class MLPNetwork:
             out.append(ly.weights)
             out.append(ly.bias)
         return out
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.layers):
-            raise DimensionMismatchError("parameter list length mismatch")
-        for i, ly in enumerate(self.layers):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != ly.weights.shape or b.shape != ly.bias.shape:
-                raise DimensionMismatchError("parameter shape mismatch")
-            ly.weights = w
-            ly.bias = b
 
 
 def init_network(layer_dims, activations, dropout_rate: float = 0.0, seed=0) -> MLPNetwork:
@@ -141,8 +135,8 @@ def init_network(layer_dims, activations, dropout_rate: float = 0.0, seed=0) -> 
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs: per-layer inputs, pre/post activations,
-    and the dropout masks that were actually applied."""
+    """Everything backward() needs: per-layer inputs, pre-activations,
+    activations before dropout, and the dropout masks that were applied."""
 
     inputs: list[np.ndarray]
     pre: list[np.ndarray]
@@ -170,26 +164,17 @@ def forward(
         inputs.append(x)
         z = x @ ly.weights + ly.bias
         a = _activate(ly.activation, z)
+        pres.append(z)
+        posts.append(a)
         mask = None
         is_hidden = i < len(net.layers) - 1
         if training and is_hidden and net.dropout_rate > 0.0:
             keep = 1.0 - net.dropout_rate
             mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
             a = a * mask
-        pres.append(z)
-        posts.append(a)
         masks.append(mask)
         x = a
     return x, ForwardCache(inputs, pres, posts, masks)
-
-
-def forward_features(net: MLPNetwork, batch: np.ndarray, layer_index: int) -> np.ndarray:
-    """Post-activation output of one layer, dropout disabled."""
-    if not 0 <= layer_index < len(net.layers):
-        raise IndexError(f"layer_index {layer_index} out of range for {len(net.layers)} layers")
-    sub = MLPNetwork(net.layers[: layer_index + 1], dropout_rate=0.0)
-    out, _ = forward(sub, batch, training=False)
-    return out
 
 
 def backward(
@@ -215,9 +200,7 @@ def backward(
         ly = net.layers[i]
         if cache.masks[i] is not None:
             delta = delta * cache.masks[i]
-        # post-activation stored pre-dropout is not kept; recompute from pre
-        a = _activate(ly.activation, cache.pre[i])
-        dz = delta * _activate_grad(ly.activation, cache.pre[i], a)
+        dz = delta * _activate_grad(ly.activation, cache.pre[i], cache.post[i])
         grads[2 * i] = cache.inputs[i].T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         delta = dz @ ly.weights.T
@@ -237,22 +220,24 @@ class AdamState:
         self.epsilon = float(epsilon)
 
 
-def adam_step(state: AdamState, params, grads) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter list."""
+def adam_step(state: AdamState, params, grads) -> None:
+    """One bias-corrected Adam update of ``params``, ``state.m`` and
+    ``state.v`` in place."""
     if len(params) != len(state.m) or len(grads) != len(state.m):
         raise DimensionMismatchError("params/grads length does not match Adam state")
-    state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape or p.shape != state.m[i].shape:
             raise DimensionMismatchError(f"shape mismatch at parameter {i}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**state.t)
-        v_hat = state.v[i] / (1.0 - b2**state.t)
-        out.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-    return out
+    state.t += 1
+    b1, b2, lr = state.beta1, state.beta2, state.learning_rate
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        # the same operations, in the same order, as m = b1*m + (1-b1)*g etc.
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
 
 
 PROB_EPS = 1e-7
@@ -275,26 +260,35 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def network_arrays(net: MLPNetwork, prefix: str = "") -> dict[str, np.ndarray]:
+    """The npz arrays of one network: ``{prefix}w{i}`` and ``{prefix}b{i}``."""
+    out = {}
+    for i, ly in enumerate(net.layers):
+        out[f"{prefix}w{i}"] = ly.weights
+        out[f"{prefix}b{i}"] = ly.bias
+    return out
+
+
+def network_from_arrays(z, prefix: str, activations, dropout_rate: float) -> MLPNetwork:
+    """Inverse of ``network_arrays``; ``z`` maps the same keys to arrays."""
+    layers = [
+        Layer(z[f"{prefix}w{i}"], z[f"{prefix}b{i}"], act) for i, act in enumerate(activations)
+    ]
+    return MLPNetwork(layers, dropout_rate)
+
+
 def save_network(net: MLPNetwork, path) -> None:
     """Serialize to .npz; round-trips bit-exactly (float64 arrays as-is)."""
-    payload = {}
-    for i, ly in enumerate(net.layers):
-        payload[f"w{i}"] = ly.weights
-        payload[f"b{i}"] = ly.bias
     meta = {
         "n_layers": len(net.layers),
         "activations": [ly.activation for ly in net.layers],
         "dropout_rate": net.dropout_rate,
     }
-    payload["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **payload)
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **network_arrays(net), meta=meta_bytes)
 
 
 def load_network(path) -> MLPNetwork:
     with np.load(path) as z:
         meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-        layers = [
-            Layer(z[f"w{i}"].copy(), z[f"b{i}"].copy(), act)
-            for i, act in enumerate(meta["activations"])
-        ]
-    return MLPNetwork(layers, meta["dropout_rate"])
+        return network_from_arrays(z, "", meta["activations"], meta["dropout_rate"])

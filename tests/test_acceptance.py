@@ -32,7 +32,7 @@ from imbench.data import Dataset, load_csv, minmax_fit, minmax_transform, strati
 from imbench.gan import TrainingConfig, feature_matching_loss, generate_minority, train_sdg_gan
 from imbench.oversamplers import adasyn, adasyn_plan, borderline_smote, random_oversample, smote
 
-from conftest import random_imbalanced
+from random_data import random_imbalanced
 from test_nn import assert_grads_close, finite_difference_grads
 from test_oversamplers import brute_force_adasyn_counts, check_geometry
 

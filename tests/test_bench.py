@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from imbench.bench import (
 )
 from imbench.classifiers import LogRegSpec, train_logreg, predict_labels
 from imbench.data import Dataset, minmax_fit, minmax_transform, stratified_split
-from imbench.errors import DimensionMismatchError, IncompleteTableError
+from imbench.errors import ConfigInvalidError, DimensionMismatchError, IncompleteTableError
 from imbench.gan import TrainingConfig
 
 
@@ -134,6 +136,23 @@ class TestRunBenchmark:
         )
         report = run_benchmark(config)
         assert len(report.cells) == 6
+
+    @pytest.mark.parametrize(
+        "change, workers",
+        [
+            ({"gan_config": TrainingConfig(epochs=-1)}, 1),
+            ({"test_fraction": 1.0}, 1),
+            ({}, 0),
+            ({}, -2),
+        ],
+    )
+    def test_bad_settings_rejected_before_any_cell(self, tmp_path, monkeypatch, change, workers):
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+        config = small_config(tmp_path, trivially_separable(), samplers=("none", "cgan"))
+        with pytest.raises(ConfigInvalidError):
+            run_benchmark(replace(config, **change), max_workers=workers)
+        assert cells == []
 
     def test_seed_derivation_is_stable(self):
         assert stable_seed(1, "a", 2) == stable_seed(1, "a", 2)
@@ -269,6 +288,23 @@ class TestEmitReport:
             mean, std = parsed[("d", "s", "c", m)]
             assert mean == report.cells[("d", "s", "c")].mean[m]
             assert std == report.cells[("d", "s", "c")].std[m]
+
+    def test_ordinary_names_are_not_quoted(self, tmp_path):
+        paths = emit_report(one_cell_report(), None, tmp_path)
+        stats = one_cell_report().cells[("d", "s", "c")]
+        expected = "dataset,sampler,classifier,metric,mean,std\n" + "".join(
+            f"d,s,c,{m},{stats.mean[m]!r},{stats.std[m]!r}\n" for m in ("recall", "precision", "f1")
+        )
+        assert open(paths[0], newline="").read() == expected
+
+    def test_comma_in_dataset_name_round_trips(self, tmp_path):
+        stats = one_cell_report().cells[("d", "s", "c")]
+        report = MetricsReport({('a,"b"', "s", "c"): stats}, {}, 3)
+        paths = emit_report(report, None, tmp_path)
+        assert open(paths[0]).read().splitlines()[1].startswith('"a,""b""",s,c,recall,')
+        parsed = parse_metrics_csv(paths[0])
+        assert parsed[('a,"b"', "s", "c", "f1")] == (stats.mean["f1"], stats.std["f1"])
+        assert len(parsed) == 3
 
     def test_markdown_contains_tables(self, tmp_path):
         table = {("d", "c", s): v for s, v in (("A", 0.9), ("B", 0.5))}

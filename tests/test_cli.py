@@ -128,6 +128,70 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: duplicate dataset name 'd'\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nonsense = 1\n", "bad.cfg:1: unknown key 'nonsense'"),
+            ("# header\nruns 3\n", "bad.cfg:2: expected 'key = value', got 'runs 3'"),
+            ("runs = x\n", "bad.cfg:1: runs must be int, got 'x'"),
+            ("test_fraction = half\n", "bad.cfg:1: test_fraction must be float, got 'half'"),
+            ("dataset = toy, toy.csv\n", "bad.cfg:1: dataset needs 'name, path, label_column'"),
+        ],
+    )
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.cfg" in err and err.count("\n") == 1
+
+    def test_bad_format_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "fmt.cfg"
+        cfg.write_text(f"dataset = toy, {write_toy_csv(tmp_path)}, y\nformat = xml\n")
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: format must be csv or markdown, got 'xml'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        code = cli.main(
+            [
+                "run", "--dataset", write_toy_csv(tmp_path), "--label-col", "y",
+                "--samplers", "none", "--classifiers", "logreg",
+                "--workers", workers, "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_gan_epochs_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+        code = cli.main(
+            [
+                "run", "--dataset", write_toy_csv(tmp_path), "--label-col", "y",
+                "--samplers", "none,cgan", "--gan-epochs", "-1", "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: epochs must be >= 0\n"
+        assert cells == [] and not (tmp_path / "out").exists()
+
+    def test_missing_dataset_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = cli.main(
+            ["run", "--dataset", str(missing), "--label-col", "y", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_label_col_is_usage_error(self, tmp_path):
         csv_path = write_toy_csv(tmp_path)
         assert cli.main(["run", "--dataset", csv_path]) == 2
@@ -181,6 +245,13 @@ class TestRankCommand:
         table.write_text("dataset,classifier,sampler,f1\nd1,c1,A,high\n")
         assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: could not convert")
+
+    def test_missing_f1_table_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert cli.main(["rank", "--f1-table", str(missing), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_columns_rejected(self, tmp_path):
         table = tmp_path / "bad.csv"

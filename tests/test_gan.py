@@ -92,6 +92,29 @@ class TestFeatureMatchingLoss:
                 denom = max(abs(grad[i, j]) + abs(fd), 1e-8)
                 assert abs(grad[i, j] - fd) / denom < 1e-4
 
+    def test_dropout_is_off(self):
+        disc = nn.init_network([(2, 50), (50, 1)], ["relu", "sigmoid"], dropout_rate=0.9, seed=0)
+        real = np.random.default_rng(0).random((4, 2))
+        fake = np.random.default_rng(1).random((3, 2))
+        first = feature_matching_loss(disc, real, fake, 0)
+        second = feature_matching_loss(disc, real, fake, 0)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+    def test_sees_in_place_updates(self, tmp_path):
+        # the loss must follow the discriminator's live parameters: after an
+        # Adam step it equals the loss of a reloaded copy of the updated net
+        rng = np.random.default_rng(3)
+        disc = nn.init_network([(3, 6), (6, 4), (4, 1)], ["relu", "relu", "sigmoid"], seed=rng)
+        real, fake = rng.random((5, 3)), rng.random((4, 3))
+        before = feature_matching_loss(disc, real, fake, 1)[0]
+        opt = nn.AdamState(disc.parameters(), learning_rate=0.1)
+        nn.adam_step(opt, disc.parameters(), [rng.standard_normal(p.shape) for p in disc.parameters()])
+        nn.save_network(disc, tmp_path / "disc.npz")
+        copy = nn.load_network(tmp_path / "disc.npz")
+        after = feature_matching_loss(disc, real, fake, 1)[0]
+        assert after != before
+        assert after == feature_matching_loss(copy, real, fake, 1)[0]
+
     def test_empty_batch_rejected(self):
         disc = nn.init_network([(2, 3), (3, 1)], ["relu", "sigmoid"], seed=0)
         with pytest.raises(ValueError):

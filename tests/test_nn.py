@@ -204,17 +204,49 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        before = [p.copy() for p in params]
         state = nn.AdamState(params, learning_rate=0.1)
-        out = nn.adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
-        assert np.array_equal(out[0], params[0]) and np.array_equal(out[1], params[1])
+        nn.adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
+        assert np.array_equal(params[0], before[0]) and np.array_equal(params[1], before[1])
         assert state.t == 1
 
     def test_first_step_magnitude(self):
         params = [np.array([0.0])]
         state = nn.AdamState(params, learning_rate=1e-4)
-        out = nn.adam_step(state, params, [np.array([1.0])])
-        delta = out[0][0] - 0.0
+        nn.adam_step(state, params, [np.array([1.0])])
+        delta = params[0][0] - 0.0
         assert abs(delta + 1e-4) < 1e-9
+
+    def test_in_place_update_matches_textbook_adam(self):
+        rng = np.random.default_rng(0)
+        params = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
+        expected = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        state = nn.AdamState(params, learning_rate=lr)
+        live = list(params)
+        for t in range(1, 6):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            assert nn.adam_step(state, params, grads) is None
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                expected[i] = expected[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for i in range(len(params)):
+                assert params[i] is live[i]
+                assert np.array_equal(params[i], expected[i])
+                assert np.array_equal(state.m[i], m[i]) and np.array_equal(state.v[i], v[i])
+
+    def test_integer_weights_are_trainable(self):
+        net = nn.MLPNetwork([nn.Layer(np.array([[1]]), np.array([0]), "identity")])
+        out, cache = nn.forward(net, np.ones((2, 1)))
+        grads, _ = nn.backward(net, cache, out)
+        nn.adam_step(nn.AdamState(net.parameters(), learning_rate=0.1), net.parameters(), grads)
+        assert net.layers[0].weights.dtype == np.float64
+        assert net.layers[0].weights[0, 0] == pytest.approx(0.9)
 
     def test_shape_mismatch(self):
         params = [np.zeros(2)]
@@ -258,39 +290,6 @@ class TestBceLoss:
             assert grad[i] == pytest.approx(fd, rel=1e-5)
 
 
-class TestForwardFeatures:
-    def test_last_layer_equals_forward(self):
-        net = hand_net()
-        x = np.random.default_rng(2).random((3, 2))
-        out, _ = nn.forward(net, x)
-        assert np.array_equal(nn.forward_features(net, x, 1), out)
-
-    def test_discriminator_feature_width(self):
-        net = nn.init_network(
-            [(10, 128), (128, 64), (64, 32), (32, 1)],
-            ["relu", "relu", "relu", "sigmoid"],
-            seed=0,
-        )
-        feats = nn.forward_features(net, np.zeros((4, 10)), 2)
-        assert feats.shape == (4, 32)
-
-    def test_hidden_layer_matches_hand(self):
-        net = hand_net()
-        x = np.array([[0.5, -1.0]])
-        expected = np.tanh(x @ net.layers[0].weights + net.layers[0].bias)
-        assert np.allclose(nn.forward_features(net, x, 0), expected, atol=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            nn.forward_features(hand_net(), np.zeros((1, 2)), 5)
-
-    def test_dropout_disabled(self):
-        net = nn.init_network([(2, 50), (50, 1)], ["relu", "sigmoid"], dropout_rate=0.9, seed=0)
-        a = nn.forward_features(net, np.ones((1, 2)), 0)
-        b = nn.forward_features(net, np.ones((1, 2)), 0)
-        assert np.array_equal(a, b)
-
-
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         net = nn.init_network(
@@ -306,3 +305,16 @@ class TestSerialization:
             assert np.array_equal(a.bias, b.bias)
         x = np.random.default_rng(0).random((4, 5))
         assert np.array_equal(nn.forward(net, x)[0], nn.forward(back, x)[0])
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            w = np.ones((2, 1))
+            w[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                nn.MLPNetwork([nn.Layer(w, np.zeros(1), "identity")])
+        net = nn.init_network([(2, 1)], ["identity"], seed=0)
+        net.layers[0].bias[0] = np.nan  # live arrays are not re-checked
+        path = tmp_path / "nan.npz"
+        nn.save_network(net, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.load_network(path)

@@ -12,7 +12,7 @@ from imbench.oversamplers import (
     random_oversample,
     smote,
 )
-from conftest import random_imbalanced
+from random_data import random_imbalanced
 
 
 def brute_force_knn(reference, point, k, exclude_self=False):
