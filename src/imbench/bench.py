@@ -190,6 +190,16 @@ def _run_one(args):
     return run_cell(dataset, sampler, classifier, run_seed, cfg.test_fraction, cfg.gan_config)
 
 
+def _outcome(task):
+    """The cell's result, or the Exception it raised; a failing cell does
+    not stop the grid. _run_one is looked up on each call, so a wrapper
+    installed on the module sees every cell."""
+    try:
+        return _run_one(task)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return exc
+
+
 def run_benchmark(
     config: ExperimentConfig,
     loaded: dict[str, Dataset] | None = None,
@@ -220,27 +230,15 @@ def run_benchmark(
                 for run_idx in range(config.runs):
                     tasks.append((name, datasets[name], sampler, classifier, run_idx, config))
 
-    results: dict[tuple, tuple | Exception] = {}
-
-    def record(task, outcome):
-        name, _, sampler, classifier, run_idx, _ = task
-        results[(name, sampler, classifier, run_idx)] = outcome
-
     if max_workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {pool.submit(_run_one, t): t for t in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                task = futures[fut]
-                try:
-                    record(task, fut.result())
-                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    record(task, exc)
+            outcomes = list(pool.map(_outcome, tasks))
     else:
-        for task in tasks:
-            try:
-                record(task, _run_one(task))
-            except Exception as exc:  # noqa: BLE001
-                record(task, exc)
+        outcomes = list(map(_outcome, tasks))
+    results = {
+        (name, sampler, classifier, run_idx): out
+        for (name, _, sampler, classifier, run_idx, _), out in zip(tasks, outcomes)
+    }
 
     cells: dict[tuple[str, str, str], CellStats] = {}
     failures: dict[tuple[str, str, str], str] = {}

@@ -14,6 +14,9 @@ class ImbenchError(Exception):
 class MissingColumnError(ImbenchError, KeyError):
     """A named column is absent from the CSV header."""
 
+    # KeyError's str() is the repr of its argument; print the message as is
+    __str__ = Exception.__str__
+
 
 class NonNumericCellError(ImbenchError, ValueError):
     """A feature cell failed to parse as a finite real.

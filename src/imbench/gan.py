@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nn
-from .data import Dataset, imbalance_stats
+from .data import Dataset
 from .errors import ConfigInvalidError, DimensionMismatchError, SingleClassError
-from .oversamplers import MINORITY, AugmentedDataset, _assemble
+from .oversamplers import MINORITY, AugmentedDataset, _assemble, _check_two_classes, _unchanged
 
 
 @dataclass(frozen=True)
@@ -240,18 +240,12 @@ def oversample_to_balance(model: GANModel, train: Dataset, seed: int = 0) -> Aug
         raise DimensionMismatchError(
             f"model generates {model.n_features} features, dataset has {train.n_features}"
         )
-    stats = imbalance_stats(train)
-    if stats.n_minority == 0:
-        raise SingleClassError("training set has a single class")
-    if stats.n_minority < stats.n_majority and stats.minority_label != MINORITY:
-        raise ValueError("label 1 must be the minority class; remap labels first")
-    gap = stats.n_majority - stats.n_minority
-    name = model.objective
+    _, gap = _check_two_classes(train)
     if gap == 0:
-        return _assemble(train, np.empty((0, train.n_features)), name, seed, [])
+        return _unchanged(train, model.objective, seed)
     synth = generate_minority(model, gap, seed)
     log = [(-1, -1)] * gap  # generated rows have no source/neighbor pair
-    return _assemble(train, synth, name, seed, log)
+    return _assemble(train, synth, model.objective, seed, log)
 
 
 def save_model(model: GANModel, path) -> None:

@@ -102,23 +102,20 @@ class AugmentedDataset:
         return int(self.provenance.sum())
 
 
-def _check_two_classes(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _check_two_classes(train: Dataset) -> tuple[np.ndarray, int]:
+    """Minority row indices and the gap to class parity."""
     minority_idx = np.flatnonzero(train.labels == MINORITY)
-    majority_idx = np.flatnonzero(train.labels != MINORITY)
-    if minority_idx.size == 0 or majority_idx.size == 0:
+    n_majority = train.n_rows - minority_idx.size
+    if minority_idx.size == 0 or n_majority == 0:
         raise SingleClassError("oversampling needs both classes present")
-    if minority_idx.size > majority_idx.size:
+    if minority_idx.size > n_majority:
         raise ValueError("label 1 must be the minority class; remap labels first")
-    return minority_idx, majority_idx
+    return minority_idx, n_majority - minority_idx.size
 
 
 def _assemble(
     train: Dataset, synth: np.ndarray, sampler: str, seed: int, log: list[tuple[int, int]]
 ) -> AugmentedDataset:
-    if synth.shape[0] == 0:
-        data = Dataset(train.features, train.labels, train.feature_names)
-        flags = np.zeros(train.n_rows, dtype=bool)
-        return AugmentedDataset(data, flags, sampler, seed, ())
     feats = np.vstack([train.features, synth])
     labels = np.concatenate([train.labels, np.full(synth.shape[0], MINORITY, dtype=np.int64)])
     flags = np.concatenate([np.zeros(train.n_rows, dtype=bool), np.ones(synth.shape[0], dtype=bool)])
@@ -126,10 +123,13 @@ def _assemble(
     return AugmentedDataset(data, flags, sampler, seed, tuple(log))
 
 
+def _unchanged(train: Dataset, sampler: str, seed: int) -> AugmentedDataset:
+    return _assemble(train, np.empty((0, train.n_features)), sampler, seed, [])
+
+
 def random_oversample(train: Dataset, seed: int = 0) -> AugmentedDataset:
     """Duplicate uniformly chosen minority rows until exact class parity."""
-    minority_idx, majority_idx = _check_two_classes(train)
-    gap = majority_idx.size - minority_idx.size
+    minority_idx, gap = _check_two_classes(train)
     rng = np.random.default_rng(seed)
     picks = minority_idx[rng.integers(0, minority_idx.size, size=gap)]
     synth = train.features[picks].copy()
@@ -151,56 +151,63 @@ def _effective_k(k: int, n_minority: int, sampler: str) -> int:
     return k
 
 
-def _minority_neighbor_lists(
-    train: Dataset, minority_idx: np.ndarray, k: int
-) -> list[np.ndarray]:
-    """k nearest distinct minority neighbors of each minority row (global indices)."""
-    ref = train.features[minority_idx]
+def _neighbors(
+    train: Dataset, rows: np.ndarray, reference_rows: np.ndarray, k: int
+) -> dict[int, np.ndarray]:
+    """Up to k nearest distinct rows among reference_rows for each of rows.
+
+    Keys and values are indices into train; each row's k is capped at the
+    reference rows that differ from it, so a row whose every reference row
+    is a duplicate of it gets an empty array.
+    """
+    ref = train.features[reference_rows]
     index = KNNIndex(ref)
-    lists = []
-    for i in minority_idx:
+    out = {}
+    for i in rows:
         point = train.features[i]
-        avail = int(np.sum(np.sum((ref - point) ** 2, axis=1) > 0.0))
-        kk = min(k, avail)
-        if kk > 0:
-            nbrs = index.query(point, kk, exclude_self=True)
-            lists.append(minority_idx[nbrs])
-        else:
-            lists.append(np.empty(0, dtype=np.int64))
-    return lists
+        kk = min(k, int(np.count_nonzero(np.sum((ref - point) ** 2, axis=1) > 0.0)))
+        nbrs = index.query(point, kk, exclude_self=True) if kk > 0 else np.empty(0, dtype=np.int64)
+        out[int(i)] = reference_rows[nbrs]
+    return out
+
+
+def _majority_fraction(train: Dataset, minority_idx: np.ndarray, m: int) -> np.ndarray:
+    """Majority share among each minority row's m nearest distinct rows of
+    the whole training set; 0 for a row with no distinct row."""
+    nbrs = _neighbors(train, minority_idx, np.arange(train.n_rows), m).values()
+    majority = np.array([np.count_nonzero(train.labels[n] != MINORITY) for n in nbrs])
+    size = np.array([n.size for n in nbrs])
+    return np.where(size > 0, majority / np.maximum(size, 1), 0.0)
 
 
 def _interpolate(
-    train: Dataset,
-    source_rows: np.ndarray,
-    neighbor_lists: dict[int, np.ndarray],
-    total: int,
-    rng: np.random.Generator,
-    per_source_counts: np.ndarray | None = None,
+    train: Dataset, minority_idx: np.ndarray, schedule: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """SMOTE-style interpolation. Either a shuffled wrap-around cycle over
-    source_rows (counts within 1 of each other), or explicit per-source
-    counts aligned with source_rows."""
-    synth = np.empty((total, train.n_features))
+    """One synthetic row per entry of schedule, a source row: x_src + u *
+    (x_nb - x_src) with u ~ U(0,1) and x_nb one of the k nearest distinct
+    minority rows of x_src."""
+    neighbors = _neighbors(train, minority_idx, minority_idx, k)
+    synth = np.empty((schedule.size, train.n_features))
     log: list[tuple[int, int]] = []
-    if per_source_counts is None:
-        order = rng.permutation(source_rows)
-        schedule = [int(order[t % order.size]) for t in range(total)]
-    else:
-        schedule = []
-        for src, cnt in zip(source_rows, per_source_counts):
-            schedule.extend([int(src)] * int(cnt))
-    for t, src in enumerate(schedule):
-        nbrs = neighbor_lists[src]
-        if nbrs.size == 0:
-            # every minority row identical to the source: degenerate segment
-            nb = src
-        else:
-            nb = int(nbrs[rng.integers(0, nbrs.size)])
+    for t, src in enumerate(schedule.tolist()):
+        nbrs = neighbors[src]
+        # every minority row identical to the source: degenerate segment
+        nb = int(nbrs[rng.integers(0, nbrs.size)]) if nbrs.size else src
         u = rng.random()
         synth[t] = train.features[src] + u * (train.features[nb] - train.features[src])
         log.append((src, nb))
     return synth, log
+
+
+def _smote(
+    train: Dataset, minority_idx: np.ndarray, sources: np.ndarray, gap: int, k: int, seed: int, sampler: str
+) -> AugmentedDataset:
+    """SMOTE from sources, which a seeded shuffle cycles through (counts
+    within 1 of each other); k is already checked."""
+    rng = np.random.default_rng(seed)
+    schedule = np.resize(rng.permutation(sources), gap)
+    synth, log = _interpolate(train, minority_idx, schedule, k, rng)
+    return _assemble(train, synth, sampler, seed, log)
 
 
 def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
@@ -210,46 +217,11 @@ def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
     each synthetic point sits at x_i + u * (x_nn - x_i) for u ~ U(0,1) and
     x_nn one of the k nearest distinct minority neighbors of x_i.
     """
-    return _smote_on(train, None, k, seed, "smote")
-
-
-def _smote_on(
-    train: Dataset,
-    source_rows: np.ndarray | None,
-    k: int,
-    seed: int,
-    sampler: str,
-) -> AugmentedDataset:
-    minority_idx, majority_idx = _check_two_classes(train)
-    gap = majority_idx.size - minority_idx.size
+    minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _assemble(train, np.empty((0, train.n_features)), sampler, seed, [])
-    k_eff = _effective_k(k, minority_idx.size, sampler)
-    lists = _minority_neighbor_lists(train, minority_idx, k_eff)
-    neighbor_lists = {int(i): lst for i, lst in zip(minority_idx, lists)}
-    rng = np.random.default_rng(seed)
-    sources = minority_idx if source_rows is None else source_rows
-    synth, log = _interpolate(train, sources, neighbor_lists, gap, rng)
-    return _assemble(train, synth, sampler, seed, log)
-
-
-def _majority_neighbor_counts(
-    train: Dataset, minority_idx: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Majority count among each minority row's m nearest distinct neighbors
-    over the whole training set; m is capped at the available rows."""
-    index = KNNIndex(train.features)
-    counts = np.empty(minority_idx.size, dtype=np.int64)
-    eff_m = np.empty(minority_idx.size, dtype=np.int64)
-    for pos, i in enumerate(minority_idx):
-        point = train.features[i]
-        sq = np.sum((train.features - point) ** 2, axis=1)
-        avail = int(np.sum(sq > 0.0))
-        mi = min(m, avail)
-        nbrs = index.query(point, mi, exclude_self=True) if mi > 0 else np.empty(0, dtype=int)
-        counts[pos] = int(np.sum(train.labels[nbrs] != MINORITY))
-        eff_m[pos] = mi
-    return counts, eff_m
+        return _unchanged(train, "smote", seed)
+    k = _effective_k(k, minority_idx.size, "smote")
+    return _smote(train, minority_idx, minority_idx, gap, k, seed, "smote")
 
 
 def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> AugmentedDataset:
@@ -260,16 +232,33 @@ def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> A
     as noise and skipped. With no DANGER rows at all this falls back to
     plain SMOTE and warns.
     """
-    minority_idx, majority_idx = _check_two_classes(train)
-    if majority_idx.size == minority_idx.size:
-        return _assemble(train, np.empty((0, train.n_features)), "b-smote", seed, [])
-    _effective_k(k, minority_idx.size, "b-smote")
-    maj_counts, eff_m = _majority_neighbor_counts(train, minority_idx, m)
-    danger = minority_idx[(maj_counts * 2 >= eff_m) & (maj_counts < eff_m)]
+    minority_idx, gap = _check_two_classes(train)
+    if gap == 0:
+        return _unchanged(train, "b-smote", seed)
+    k = _effective_k(k, minority_idx.size, "b-smote")
+    r = _majority_fraction(train, minority_idx, m)
+    danger = minority_idx[(r >= 0.5) & (r < 1.0)]
     if danger.size == 0:
         warnings.warn("b-smote: DANGER set empty, falling back to plain SMOTE")
-        return _smote_on(train, None, k, seed, "b-smote")
-    return _smote_on(train, danger, k, seed, "b-smote")
+        danger = minority_idx
+    return _smote(train, minority_idx, danger, gap, k, seed, "b-smote")
+
+
+def _adasyn_counts(train: Dataset, minority_idx: np.ndarray, total: int, k: int) -> np.ndarray | None:
+    """Largest-remainder allocation of total over the minority rows by their
+    majority share among k nearest neighbors; None when every share is 0."""
+    r = _majority_fraction(train, minority_idx, k)
+    if r.sum() == 0.0:
+        return None
+    raw = r / r.sum() * total
+    base = np.floor(raw).astype(np.int64)
+    frac = raw - base
+    short = total - int(base.sum())
+    if short > 0:
+        # largest fractional parts win the leftovers, ties to lower index
+        order = np.lexsort((np.arange(frac.size), -frac))
+        base[order[:short]] += 1
+    return base
 
 
 def adasyn_plan(train: Dataset, k: int = 5) -> SynthesisPlan:
@@ -280,41 +269,23 @@ def adasyn_plan(train: Dataset, k: int = 5) -> SynthesisPlan:
     allocation of G = n_majority - n_minority, so they sum to G exactly.
     Raises ValueError when every r_i is zero.
     """
-    minority_idx, majority_idx = _check_two_classes(train)
-    k_eff = _effective_k(k, minority_idx.size, "adasyn")
-    maj_counts, eff_m = _majority_neighbor_counts(train, minority_idx, k_eff)
-    r = np.where(eff_m > 0, maj_counts / np.maximum(eff_m, 1), 0.0)
-    total = int(majority_idx.size - minority_idx.size)
-    if r.sum() == 0.0:
+    minority_idx, gap = _check_two_classes(train)
+    counts = _adasyn_counts(train, minority_idx, gap, _effective_k(k, minority_idx.size, "adasyn"))
+    if counts is None:
         raise ValueError("all-zero density: no minority row has majority neighbors")
-    r_hat = r / r.sum()
-    raw = r_hat * total
-    base = np.floor(raw).astype(np.int64)
-    frac = raw - base
-    short = total - int(base.sum())
-    if short > 0:
-        # largest fractional parts win the leftovers, ties to lower index
-        order = np.lexsort((np.arange(frac.size), -frac))
-        base[order[:short]] += 1
-    return SynthesisPlan(base, total)
+    return SynthesisPlan(counts, gap)
 
 
 def adasyn(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
     """ADASYN: per-row synthesis counts proportional to local majority density."""
-    minority_idx, majority_idx = _check_two_classes(train)
-    gap = majority_idx.size - minority_idx.size
+    minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _assemble(train, np.empty((0, train.n_features)), "adasyn", seed, [])
-    k_eff = _effective_k(k, minority_idx.size, "adasyn")
-    try:
-        plan = adasyn_plan(train, k_eff)
-    except ValueError:
+        return _unchanged(train, "adasyn", seed)
+    k = _effective_k(k, minority_idx.size, "adasyn")
+    counts = _adasyn_counts(train, minority_idx, gap, k)
+    if counts is None:
         warnings.warn("adasyn: all-zero density, falling back to plain SMOTE")
-        return _smote_on(train, None, k, seed, "adasyn")
-    lists = _minority_neighbor_lists(train, minority_idx, k_eff)
-    neighbor_lists = {int(i): lst for i, lst in zip(minority_idx, lists)}
+        return _smote(train, minority_idx, minority_idx, gap, k, seed, "adasyn")
     rng = np.random.default_rng(seed)
-    synth, log = _interpolate(
-        train, minority_idx, neighbor_lists, gap, rng, per_source_counts=plan.counts
-    )
+    synth, log = _interpolate(train, minority_idx, np.repeat(minority_idx, counts), k, rng)
     return _assemble(train, synth, "adasyn", seed, log)

@@ -192,6 +192,14 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: no such file: {missing}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_label_column_not_in_header_is_usage_error(self, tmp_path, capsys):
+        csv_path = write_toy_csv(tmp_path)
+        code = cli.main(
+            ["run", "--dataset", csv_path, "--label-col", "nope", "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: label column 'nope' not in header ['a', 'b', 'y']\n"
+
     def test_missing_label_col_is_usage_error(self, tmp_path):
         csv_path = write_toy_csv(tmp_path)
         assert cli.main(["run", "--dataset", csv_path]) == 2
@@ -261,11 +269,17 @@ class TestRankCommand:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
+        import os
         import subprocess
         import sys
 
+        import imbench
+
+        # the child imports the same package as this process, installed or not
+        search = [os.path.dirname(os.path.dirname(imbench.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in search if p))
         proc = subprocess.run(
-            [sys.executable, "-m", "imbench.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "imbench.cli", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         assert "run" in proc.stdout and "synth" in proc.stdout and "rank" in proc.stdout

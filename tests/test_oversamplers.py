@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ from imbench.oversamplers import (
     smote,
 )
 from random_data import random_imbalanced
+
+
+# hand fixtures, (features, labels): two minority rows on the diagonal; two
+# minority rows of which only 0.0 is DANGER; three minority rows far from
+# every majority row (no DANGER row, all-zero density)
+DIAGONAL_PAIR = ([[0.0, 0.0], [1.0, 1.0]] + [[5.0 + i, 9.0 - i] for i in range(6)], [1, 1] + [0] * 6)
+DANGER_PAIR = ([[0.0], [0.45], [0.5], [0.55], [0.6], [0.65], [0.7]], [1, 1, 0, 0, 0, 0, 0])
+ISOLATED_TRIPLE = ([[0.0], [0.1], [0.2]] + [[50.0 + i] for i in range(7)], [1, 1, 1] + [0] * 7)
 
 
 def brute_force_knn(reference, point, k, exclude_self=False):
@@ -119,9 +129,7 @@ class TestSmote:
         assert smote(ds, seed=0).n_synthetic == 0
 
     def test_two_point_minority_stays_on_diagonal(self, make_dataset):
-        feats = [[0.0, 0.0], [1.0, 1.0]] + [[5.0 + i, 9.0 - i] for i in range(6)]
-        labels = [1, 1] + [0] * 6
-        ds = make_dataset(feats, labels)
+        ds = make_dataset(*DIAGONAL_PAIR)
         with pytest.warns(UserWarning):  # k=5 capped at 1
             aug = smote(ds, k=5, seed=3)
         assert aug.n_synthetic == 4
@@ -131,10 +139,14 @@ class TestSmote:
 
     def test_segment_membership_logged_pairs(self):
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            ds = random_imbalanced(rng, n_min=4)
-            aug = smote(ds, k=3, seed=int(rng.integers(0, 1 << 30)))
-            check_geometry(aug, ds)
+        degenerate = 0
+        for halves, count in ((False, 25), (True, 100)):
+            for _ in range(count):
+                ds = random_imbalanced(rng, n_min=4, halves=halves)
+                aug = smote(ds, k=3, seed=int(rng.integers(0, 1 << 30)))
+                check_geometry(aug, ds)
+                degenerate += sum(src == nbr for src, nbr in aug.synthesis_log)
+        assert degenerate > 0  # all minority rows equal: the (src, src) segment
 
     def test_source_cycle_spreads_counts(self, make_dataset):
         # 3 minority, 9 majority -> 6 synthetic; cycle means counts are 2 each
@@ -176,16 +188,13 @@ def brute_force_danger(ds, m):
 
 class TestBorderlineSmote:
     def test_isolated_cluster_falls_back(self, make_dataset):
-        feats = [[0.0], [0.1], [0.2]] + [[50.0 + i] for i in range(7)]
-        ds = make_dataset(feats, [1, 1, 1] + [0] * 7)
+        ds = make_dataset(*ISOLATED_TRIPLE)
         with pytest.warns(UserWarning, match="falling back"):
             aug = borderline_smote(ds, k=2, m=3, seed=0)
         assert imbalance_stats(aug.data).ratio == 1.0
 
     def test_hand_fixture_danger_membership(self, make_dataset):
-        feats = [[0.0], [0.45], [0.5], [0.55], [0.6], [0.65], [0.7]]
-        labels = [1, 1, 0, 0, 0, 0, 0]
-        ds = make_dataset(feats, labels)
+        ds = make_dataset(*DANGER_PAIR)
         assert brute_force_danger(ds, 5) == [0]  # 0.45 has an all-majority neighborhood
         with pytest.warns(UserWarning):  # k capped at 1
             aug = borderline_smote(ds, k=5, m=5, seed=1)
@@ -195,18 +204,19 @@ class TestBorderlineSmote:
 
     def test_sources_always_in_danger_set(self):
         rng = np.random.default_rng(21)
-        checked = 0
-        for _ in range(40):
-            ds = random_imbalanced(rng, n_min=5)
-            danger = brute_force_danger(ds, 5)
-            if not danger:
-                continue
-            aug = borderline_smote(ds, k=3, m=5, seed=int(rng.integers(0, 1 << 30)))
-            for src, _ in aug.synthesis_log:
-                assert src in danger
-            check_geometry(aug, ds)
-            checked += 1
-        assert checked >= 5
+        for halves, count in ((False, 40), (True, 100)):
+            checked = 0
+            for _ in range(count):
+                ds = random_imbalanced(rng, n_min=5, halves=halves)
+                danger = brute_force_danger(ds, 5)
+                if not danger:
+                    continue
+                aug = borderline_smote(ds, k=3, m=5, seed=int(rng.integers(0, 1 << 30)))
+                for src, _ in aug.synthesis_log:
+                    assert src in danger
+                check_geometry(aug, ds)
+                checked += 1
+            assert checked >= 5
 
 
 def brute_force_adasyn_counts(ds, k):
@@ -239,8 +249,7 @@ def brute_force_adasyn_counts(ds, k):
 
 class TestAdasyn:
     def test_all_zero_density_falls_back(self, make_dataset):
-        feats = [[0.0], [0.1], [0.2]] + [[50.0 + i] for i in range(7)]
-        ds = make_dataset(feats, [1, 1, 1] + [0] * 7)
+        ds = make_dataset(*ISOLATED_TRIPLE)
         with pytest.warns(UserWarning, match="falling back"):
             aug = adasyn(ds, k=2, seed=0)
         assert imbalance_stats(aug.data).ratio == 1.0
@@ -267,37 +276,35 @@ class TestAdasyn:
         assert sources.count(0) == 8 and sources.count(1) == 2
 
     def test_counts_match_brute_force_oracle(self):
-        import warnings
-
         rng = np.random.default_rng(33)
-        for _ in range(100):
-            ds = random_imbalanced(rng, n_min=int(rng.integers(3, 8)))
-            expected = brute_force_adasyn_counts(ds, k=3)
-            if expected is None:
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # tiny fixtures cap k
-                plan = adasyn_plan(ds, k=3)
-            assert plan.counts.tolist() == expected.tolist()
-            assert plan.counts.sum() == plan.total
+        for halves in (False, True):
+            for _ in range(100):
+                ds = random_imbalanced(rng, n_min=int(rng.integers(3, 8)), halves=halves)
+                expected = brute_force_adasyn_counts(ds, k=3)
+                if expected is None:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # tiny fixtures cap k
+                    plan = adasyn_plan(ds, k=3)
+                assert plan.counts.tolist() == expected.tolist()
+                assert plan.counts.sum() == plan.total
 
     def test_geometry_and_parity(self):
         rng = np.random.default_rng(44)
-        for _ in range(25):
-            ds = random_imbalanced(rng, n_min=4)
-            try:
-                aug = adasyn(ds, k=3, seed=int(rng.integers(0, 1 << 30)))
-            except MinorityTooSmallError:
-                continue
-            assert imbalance_stats(aug.data).ratio == 1.0
-            check_geometry(aug, ds)
+        for halves, count in ((False, 25), (True, 100)):
+            for _ in range(count):
+                ds = random_imbalanced(rng, n_min=4, halves=halves)
+                try:
+                    aug = adasyn(ds, k=3, seed=int(rng.integers(0, 1 << 30)))
+                except MinorityTooSmallError:
+                    continue
+                assert imbalance_stats(aug.data).ratio == 1.0
+                check_geometry(aug, ds)
 
 
 class TestSamplerInvariants:
     @pytest.mark.parametrize("sampler", [random_oversample, smote, borderline_smote, adasyn])
     def test_parity_purity_preservation(self, sampler):
-        import warnings
-
         rng = np.random.default_rng(55)
         for _ in range(20):
             ds = random_imbalanced(rng, n_min=4)
@@ -314,6 +321,27 @@ class TestSamplerInvariants:
             # synthetic rows all minority
             assert np.all(aug.data.labels[n:] == 1)
             assert aug.provenance[n:].all()
+
+
+    @pytest.mark.parametrize(
+        "sampler, table, extra, fallbacks",
+        [
+            (smote, DIAGONAL_PAIR, {}, 0),
+            (borderline_smote, DANGER_PAIR, {"m": 5}, 0),
+            (borderline_smote, ISOLATED_TRIPLE, {"m": 3}, 1),
+            (adasyn, DANGER_PAIR, {}, 0),
+            (adasyn, ISOLATED_TRIPLE, {}, 1),
+        ],
+        ids=["smote", "b-smote-danger", "b-smote-fallback", "adasyn-density", "adasyn-fallback"],
+    )
+    def test_one_k_cap_warning_per_call(self, make_dataset, sampler, table, extra, fallbacks):
+        ds = make_dataset(*table)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sampler(ds, k=5, seed=0, **extra)
+        texts = [str(w.message) for w in caught]
+        assert sum("capped at" in t for t in texts) == 1, texts
+        assert sum("falling back" in t for t in texts) == fallbacks, texts
 
 
 class TestSynthesisPlan:
