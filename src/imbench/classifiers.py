@@ -109,8 +109,7 @@ def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticMode
     _require_both_classes(train)
     x, y = train.features, train.labels.astype(np.float64)
     n = train.n_rows
-    w = np.zeros(train.n_features)
-    b = 0.0
+    w, b = np.zeros(train.n_features), 0.0
     for _ in range(spec.iterations):
         p = nn.sigmoid(x @ w + b)
         err = (p - y) / n
@@ -129,93 +128,101 @@ class _Node:
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
     def __init__(self):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.value = 0
+        self.feature, self.threshold, self.left, self.right, self.value = -1, 0.0, None, None, 0
 
 
-def _best_cut(x_col: np.ndarray, cost) -> tuple[float, float] | None:
-    """Lowest (cost, threshold) over the cuts between distinct values of one
-    feature column; None when the column is constant. cost(order, cut)
-    scores every cut, given the stable argsort of the column and each cut's
-    last sorted position on the left. Lowest threshold wins cost ties."""
-    order = np.argsort(x_col, kind="stable")
-    xo = x_col[order]
-    cut = np.flatnonzero(xo[:-1] < xo[1:])
-    if cut.size == 0:
-        return None
-    c = cost(order, cut)
-    j = int(np.argmin(c))
-    return float(c[j]), float(0.5 * (xo[cut[j]] + xo[cut[j] + 1]))
+_BLOCK = 4  # features scored per numpy pass; wider blocks raise peak memory
 
 
-def _gini_cost(y01: np.ndarray, order: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Size-weighted Gini impurity of the two sides of each cut."""
-    n = y01.size
-    c1 = np.cumsum(y01[order])
-    n_left = cut + 1.0
+def _value_ranks(x: np.ndarray) -> np.ndarray:
+    """Each column's dense value ranks, one row per feature; int16 (radix-sorted) if they fit."""
+    dtype = np.int16 if x.shape[0] < 2**15 else np.int64
+    return np.array([np.unique(col, return_inverse=True)[1] for col in x.T], dtype=dtype)
+
+
+def _presort(ranks: np.ndarray) -> np.ndarray:
+    """Each feature's rows by ascending value, ties to the lower row."""
+    return np.argsort(ranks, axis=1, kind="stable").astype(np.int32)
+
+
+def _gini_cost(y: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Size-weighted Gini impurity of the two sides of the cut after each
+    sorted position but the last, per row of order."""
+    n = order.shape[1]
+    c1 = np.cumsum(y.take(order), axis=1)
+    n_left = np.arange(1.0, n)
     n_right = n - n_left
-    l1 = c1[cut]
-    r1 = c1[-1] - l1
+    l1 = c1[:, :-1]
+    r1 = c1[:, -1:] - l1
     g_left = 1.0 - (l1 / n_left) ** 2 - ((n_left - l1) / n_left) ** 2
     g_right = 1.0 - (r1 / n_right) ** 2 - ((n_right - r1) / n_right) ** 2
     return (n_left * g_left + n_right * g_right) / n
 
 
-def _neg_gain_cost(g, h, lam, order, cut) -> np.ndarray:
+def _neg_gain_cost(g, h, g_tot, h_tot, lam, order) -> np.ndarray:
     """Minus the second-order gain of each cut (XGBoost's exact greedy
-    search), so the lowest cost is the largest gain."""
-    gl = np.cumsum(g[order])[cut]
-    hl = np.cumsum(h[order])[cut]
-    g_tot, h_tot = g.sum(), h.sum()
+    search); g_tot and h_tot are the node's sums, not the cumsums' tails."""
+    gl = np.cumsum(g.take(order), axis=1)[:, :-1]
+    hl = np.cumsum(h.take(order), axis=1)[:, :-1]
     gr = g_tot - gl
     hr = h_tot - hl
     return -0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
 
 
-def _best_split(x, idx, features, cost, n_candidates=None, max_cost=math.inf):
-    """(feature, threshold) of the lowest-cost cut of rows idx, or None.
-    A later feature must beat the best by more than 1e-15, so the first in
-    order wins a tie; one whose best cost is not below max_cost is skipped.
-    Stops after n_candidates features with a cut (None: all)."""
+def _best_split(x, rows, features, cost, n_candidates=None, max_cost=math.inf):
+    """(feature, threshold) of the lowest-cost cut, or None. rows[f] is the
+    node's rows by ascending x[:, f]; cost scores a block of them. Cuts lie
+    midway between distinct values; the lowest threshold wins a cost tie. A
+    later feature must beat the best by over 1e-15; one whose best cost is
+    not below max_cost is skipped. Stops after n_candidates (None: all)."""
     best = None
     evaluated = 0
-    for f in features:
-        res = _best_cut(x[idx, f], cost)
-        if res is None or res[0] >= max_cost:
-            continue
-        evaluated += 1
-        if best is None or res[0] < best[0] - 1e-15:
-            best = (res[0], int(f), res[1])
-        if evaluated == n_candidates:
-            break
+    width = n_candidates or _BLOCK
+    for start in range(0, len(features), width):
+        block = features[start : start + width]
+        order = rows[block]
+        xs = x.take(order * x.shape[1] + block[:, None])  # x[order[i], block[i]], flat
+        c = cost(order)
+        # no cut between equal values, so a constant feature scores inf >= max_cost
+        np.putmask(c, xs[:, :-1] >= xs[:, 1:], np.inf)
+        for i, j in enumerate(np.argmin(c, axis=1).tolist()):
+            if c[i, j] >= max_cost:
+                continue
+            evaluated += 1
+            if best is None or c[i, j] < best[0] - 1e-15:
+                best = (c[i, j], int(block[i]), float(0.5 * (xs[i, j] + xs[i, j + 1])))
+            if evaluated == n_candidates:
+                return best[1:]
     return None if best is None else best[1:]
 
 
-def _grow_tree(x, leaf_value, find_split, max_depth, min_samples_split) -> _Node:
+def _grow_tree(x, rows, leaf_value, find_split, max_depth, min_samples_split) -> _Node:
     """Iterative, so unlimited depth cannot hit the recursion limit. A node
-    with rows idx gets leaf_value(idx), then, unless it is under
+    with rows idx (ascending) gets leaf_value(idx), then, unless it is under
     min_samples_split rows or at max_depth (None: unlimited), the (feature,
-    threshold) of find_split(idx) or None for a leaf. Rows with
-    x[:, feature] < threshold go left; right children are grown first,
-    which fixes the order of any random draws in find_split."""
+    threshold) of find_split(idx, the presort rows of x filtered to idx) or
+    None for a leaf. Rows with x[:, feature] < threshold go left; right
+    children are grown first, which fixes the order of random draws."""
     root = _Node()
-    stack = [(root, np.arange(x.shape[0]), 0)]
+    goes_left = np.zeros(x.shape[0], dtype=bool)
+    stack = [(root, np.arange(x.shape[0]), rows, 0)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, rows, depth = stack.pop()
         node.value = leaf_value(idx)
         if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth):
             continue
-        split = find_split(idx)
+        split = find_split(idx, rows)
         if split is None:
             continue
         node.feature, node.threshold = split
         mask = x[idx, node.feature] < node.threshold
+        # a stable partition keeps each feature's rows sorted
+        goes_left[idx] = mask
+        sel = goes_left.take(rows).ravel()
+        shape = (rows.shape[0], -1)
         node.left, node.right = _Node(), _Node()
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
+        stack.append((node.left, idx[mask], np.compress(sel, rows).reshape(shape), depth + 1))
+        stack.append((node.right, idx[~mask], np.compress(~sel, rows).reshape(shape), depth + 1))
     return root
 
 
@@ -238,84 +245,77 @@ def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
 # CART / random forest
 
 
-def _cart_tree(x, y, rng, max_depth, min_samples_split, n_candidates) -> _Node:
-    """CART on class labels. Splits whenever a node is impure and a valid
-    cut exists (zero-gain splits allowed, so XOR-style data still gets
-    separated). n_candidates limits how many non-constant features are
-    evaluated per node, in an order drawn from rng; None means all, in index
-    order."""
+def _cart_tree(x, y, rows, rng, spec: ForestSpec, n_candidates) -> _Node:
+    """CART on class labels over rows, the presort of x. Splits any impure
+    node with a valid cut, zero-gain ones too, so XOR-style data separates.
+    n_candidates limits how many non-constant features are evaluated per
+    node, in an order drawn from rng; None means all, in index order."""
+    features = np.arange(x.shape[1])
 
     def leaf_value(idx):
         return 1 if 2 * int(y[idx].sum()) >= idx.size else 0
 
-    def find_split(idx):
-        yi = y[idx]
-        ones = int(yi.sum())
+    def find_split(idx, rows):
+        ones = int(y[idx].sum())
         if ones == 0 or ones == idx.size:
             return None
-        features = range(x.shape[1]) if n_candidates is None else rng.permutation(x.shape[1])
-        return _best_split(x, idx, features, partial(_gini_cost, yi), n_candidates)
+        order = features if n_candidates is None else rng.permutation(features.size)
+        return _best_split(x, rows, order, partial(_gini_cost, y), n_candidates)
 
-    return _grow_tree(x, leaf_value, find_split, max_depth, min_samples_split)
+    return _grow_tree(x, rows, leaf_value, find_split, spec.max_depth, spec.min_samples_split)
 
 
 class ForestModel(TrainedClassifier):
     kind = "random_forest"
 
-    def __init__(self, trees: list[_Node], n_features: int, n_trees: int):
+    def __init__(self, trees: list[_Node], n_features: int):
         super().__init__(n_features)
         self.trees = trees
-        self.n_trees = n_trees
 
     def predict_proba(self, features):
         x = self._check(features)
         votes = np.zeros(x.shape[0])
         for tree in self.trees:
             votes += _tree_apply(tree, x)
-        return votes / self.n_trees
+        return votes / len(self.trees)
 
 
 def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> ForestModel:
     """Gini CART trees on bootstrap resamples, majority-vote probability."""
     spec = spec or ForestSpec()
     _require_both_classes(train)
-    x, y = train.features, train.labels
-    if spec.max_features == "sqrt":
-        n_candidates = max(1, int(math.sqrt(train.n_features)))
-    elif spec.max_features is None:
-        n_candidates = None
-    else:
+    x, y, n = train.features, train.labels, train.n_rows
+    if spec.max_features not in ("sqrt", None):
         raise ValueError(f"unknown max_features {spec.max_features!r}")
-    children = np.random.SeedSequence(spec.seed).spawn(spec.n_trees)
+    n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
+    ranks = _value_ranks(x)
     trees = []
-    for child in children:
+    for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
         rng = np.random.default_rng(child)
-        if spec.bootstrap:
-            idx = rng.integers(0, train.n_rows, size=train.n_rows)
-        else:
-            idx = np.arange(train.n_rows)
-        trees.append(
-            _cart_tree(x[idx], y[idx], rng, spec.max_depth, spec.min_samples_split, n_candidates)
-        )
-    return ForestModel(trees, train.n_features, spec.n_trees)
+        idx = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
+        trees.append(_cart_tree(x[idx], y[idx], _presort(ranks[:, idx]), rng, spec, n_candidates))
+    return ForestModel(trees, train.n_features)
 
 
 # ---------------------------------------------------------------------------
 # gradient boosting with logistic loss
 
 
-def _gbt_tree(x, g, h, max_depth, lam) -> _Node:
+def _gbt_tree(x, g, h, max_depth, lam, rows=None) -> _Node:
     """Regression tree on gradients g and Hessians h: leaf weight
-    -G / (H + lam), split at the largest gain, which must exceed 1e-12."""
+    -G / (H + lam), split at the largest gain, which must exceed 1e-12.
+    rows is the presort of x, made when None."""
+    features = np.arange(x.shape[1])
 
     def leaf_value(idx):
         return -g[idx].sum() / (h[idx].sum() + lam)
 
-    def find_split(idx):
-        cost = partial(_neg_gain_cost, g[idx], h[idx], lam)
-        return _best_split(x, idx, range(x.shape[1]), cost, max_cost=-1e-12)
+    def find_split(idx, rows):
+        cost = partial(_neg_gain_cost, g, h, g[idx].sum(), h[idx].sum(), lam)
+        return _best_split(x, rows, features, cost, max_cost=-1e-12)
 
-    return _grow_tree(x, leaf_value, find_split, max_depth, min_samples_split=2)
+    rows = _presort(_value_ranks(x)) if rows is None else rows
+    return _grow_tree(x, rows, leaf_value, find_split, max_depth, min_samples_split=2)
 
 
 class BoostedModel(TrainedClassifier):
@@ -349,6 +349,7 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
     score = np.full(train.n_rows, base)
+    rows = _presort(_value_ranks(x))
     trees: list[_Node] = []
     history = []
     for _ in range(spec.rounds):
@@ -356,7 +357,7 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
         history.append(float(nn.bce_loss(p, y)[0]))
         g = p - y
         h = p * (1.0 - p)
-        tree = _gbt_tree(x, g, h, spec.max_depth, spec.l2)
+        tree = _gbt_tree(x, g, h, spec.max_depth, spec.l2, rows)
         trees.append(tree)
         score = score + spec.learning_rate * _tree_apply(tree, x)
     history.append(float(nn.bce_loss(nn.sigmoid(score), y)[0]))
@@ -416,8 +417,7 @@ _TRAINERS = {
 
 def train_classifier(train: Dataset, spec: ClassifierSpec) -> TrainedClassifier:
     """Dispatch on the spec type."""
-    try:
-        trainer = _TRAINERS[type(spec)]
-    except KeyError:
-        raise ValueError(f"unknown classifier spec {type(spec).__name__}") from None
+    trainer = _TRAINERS.get(type(spec))
+    if trainer is None:
+        raise ValueError(f"unknown classifier spec {type(spec).__name__}")
     return trainer(train, spec)

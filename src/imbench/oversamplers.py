@@ -46,15 +46,17 @@ class KNNIndex:
             )
         if k < 1:
             raise ValueError("k must be >= 1")
-        sq = np.sum((self.reference - p) ** 2, axis=1)
-        if exclude_self:
-            keep = np.flatnonzero(sq > 0.0)
-        else:
-            keep = np.arange(sq.shape[0])
-        if k > keep.shape[0]:
-            raise KTooLargeError(f"k={k} but only {keep.shape[0]} reference rows available")
-        order = keep[np.argsort(sq[keep], kind="stable")]
+        order = self._ranked(p, exclude_self)
+        if k > order.shape[0]:
+            raise KTooLargeError(f"k={k} but only {order.shape[0]} reference rows available")
         return order[:k]
+
+    def _ranked(self, p: np.ndarray, exclude_self: bool) -> np.ndarray:
+        """Every reference row by distance from p, ties to the lower row; one
+        distance pass."""
+        sq = np.sum((self.reference - p) ** 2, axis=1)
+        keep = np.flatnonzero(sq > 0.0) if exclude_self else np.arange(sq.shape[0])
+        return keep[np.argsort(sq[keep], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -154,21 +156,15 @@ def _effective_k(k: int, n_minority: int, sampler: str) -> int:
 def _neighbors(
     train: Dataset, rows: np.ndarray, reference_rows: np.ndarray, k: int
 ) -> dict[int, np.ndarray]:
-    """Up to k nearest distinct rows among reference_rows for each of rows.
+    """Up to k >= 1 nearest distinct rows among reference_rows for each of rows.
 
     Keys and values are indices into train; each row's k is capped at the
     reference rows that differ from it, so a row whose every reference row
     is a duplicate of it gets an empty array.
     """
-    ref = train.features[reference_rows]
-    index = KNNIndex(ref)
-    out = {}
-    for i in rows:
-        point = train.features[i]
-        kk = min(k, int(np.count_nonzero(np.sum((ref - point) ** 2, axis=1) > 0.0)))
-        nbrs = index.query(point, kk, exclude_self=True) if kk > 0 else np.empty(0, dtype=np.int64)
-        out[int(i)] = reference_rows[nbrs]
-    return out
+    index = KNNIndex(train.features[reference_rows])
+    # slicing the one ranking caps k at the reference rows that differ
+    return {int(i): reference_rows[index._ranked(train.features[i], True)[:k]] for i in rows}
 
 
 def _majority_fraction(train: Dataset, minority_idx: np.ndarray, m: int) -> np.ndarray:
@@ -236,6 +232,8 @@ def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> A
     if gap == 0:
         return _unchanged(train, "b-smote", seed)
     k = _effective_k(k, minority_idx.size, "b-smote")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     r = _majority_fraction(train, minority_idx, m)
     danger = minority_idx[(r >= 0.5) & (r < 1.0)]
     if danger.size == 0:

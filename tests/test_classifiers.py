@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imbench import nn
 from imbench.classifiers import (
     ForestSpec,
     GBTSpec,
@@ -173,6 +174,129 @@ class TestTreeRules:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         root = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), max_depth=3, lam=1.0)
         assert root.left is None and root.value == 0.0
+
+    @staticmethod
+    def brute_force_split(x, rows, features, cost, n_candidates=None, max_cost=np.inf):
+        """Every midpoint between distinct values of every feature, scored
+        one by one: the lowest threshold wins a cost tie, a later feature
+        must win by more than 1e-15, and costs not below max_cost are
+        skipped. cost(left, rows) takes the left rows in sorted order."""
+        best, evaluated = None, 0
+        for f in features:
+            values = sorted(set(x[rows, f].tolist()))
+            if len(values) < 2:
+                continue
+            by_value = sorted(rows.tolist(), key=lambda r: (x[r, f], r))
+            cuts = [
+                (cost([r for r in by_value if x[r, f] <= a], rows), 0.5 * (a + b))
+                for a, b in zip(values, values[1:])
+            ]
+            c, threshold = min(cuts, key=lambda cut: cut[0])
+            if c >= max_cost:
+                continue
+            evaluated += 1
+            if best is None or c < best[0] - 1e-15:
+                best = (c, int(f), threshold)
+            if evaluated == n_candidates:
+                break
+        return None if best is None else best[1:]
+
+    @staticmethod
+    def walk(root, x, min_samples_split, max_depth, find_split):
+        """Visit the nodes in the grower's order (right child first) and
+        check each against find_split(rows), or None for a leaf."""
+        stack = [(root, np.arange(x.shape[0]), 0)]
+        splits = 0
+        while stack:
+            node, rows, depth = stack.pop()
+            if rows.size < min_samples_split or (max_depth is not None and depth >= max_depth):
+                expected = None
+            else:
+                expected = find_split(rows)
+            if expected is None:
+                assert node.left is None
+                continue
+            assert (node.feature, node.threshold) == expected
+            splits += 1
+            mask = x[rows, node.feature] < node.threshold
+            stack.append((node.left, rows[mask], depth + 1))
+            stack.append((node.right, rows[~mask], depth + 1))
+        return splits
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_features", ["sqrt", None])
+    def test_forest_splits_match_a_brute_force_scan(self, bootstrap, max_features):
+        # values on a 0.25 grid, so ties within and across features abound;
+        # the bootstrap adds duplicate rows
+        splits = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            feats = np.round(rng.random((30, 4)) * 4) / 4
+            labels = (feats[:, 0] + feats[:, 1] + 0.5 * rng.random(30) > 1.2).astype(int)
+            spec = ForestSpec(n_trees=4, max_features=max_features, bootstrap=bootstrap, seed=seed)
+            model = train_random_forest(make(feats, labels), spec)
+            n_candidates = 2 if max_features == "sqrt" else None
+            for child, root in zip(np.random.SeedSequence(seed).spawn(4), model.trees):
+                tree_rng = np.random.default_rng(child)
+                idx = tree_rng.integers(0, 30, size=30) if bootstrap else np.arange(30)
+                x, y = feats[idx], labels[idx]
+
+                def gini(left, rows):
+                    n, n_left = rows.size, float(len(left))
+                    n_right = n - n_left
+                    l1 = sum(int(y[r]) for r in left)
+                    r1 = int(y[rows].sum()) - l1
+                    p, q = l1 / n_left, (n_left - l1) / n_left
+                    g_left = 1.0 - p * p - q * q
+                    p, q = r1 / n_right, (n_right - r1) / n_right
+                    g_right = 1.0 - p * p - q * q
+                    return (n_left * g_left + n_right * g_right) / n
+
+                def find_split(rows):
+                    if y[rows].min() == y[rows].max():
+                        return None
+                    order = range(4) if n_candidates is None else tree_rng.permutation(4)
+                    return self.brute_force_split(x, rows, order, gini, n_candidates)
+
+                splits += self.walk(root, x, 2, None, find_split)
+        assert splits > 20
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_gbt_splits_match_a_brute_force_scan(self, lam):
+        splits = 0
+        for seed in range(3):
+            rng = np.random.default_rng(10 + seed)
+            feats = np.round(rng.random((40, 3)) * 4) / 4
+            labels = (feats[:, 0] - feats[:, 2] + 0.5 * rng.random(40) > 0.2).astype(int)
+            spec = GBTSpec(rounds=6, max_depth=3, learning_rate=0.3, l2=lam)
+            model = train_gbt(make(feats, labels), spec)
+            y = labels.astype(np.float64)
+            score = np.full(40, model.base_score)
+            for root in model.trees:
+                p = nn.sigmoid(score)
+                g, h = p - y, p * (1.0 - p)
+
+                def neg_gain(left, rows):
+                    g_tot, h_tot = float(g[rows].sum()), float(h[rows].sum())
+                    gl = hl = 0.0
+                    for r in left:
+                        gl, hl = gl + g[r], hl + h[r]
+                    gr, hr = g_tot - gl, h_tot - hl
+                    gain = gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_tot**2 / (h_tot + lam)
+                    return -0.5 * gain
+
+                def find_split(rows):
+                    return self.brute_force_split(feats, rows, range(3), neg_gain, max_cost=-1e-12)
+
+                splits += self.walk(root, feats, 2, 3, find_split)
+                values = np.empty(40)
+                for r in range(40):
+                    node = root
+                    while node.left is not None:
+                        node = node.left if feats[r, node.feature] < node.threshold else node.right
+                    values[r] = node.value
+                score = score + spec.learning_rate * values
+        assert splits > 20
 
 
 class TestMLP:

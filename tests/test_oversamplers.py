@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from imbench import oversamplers as ovs
 from imbench.data import Dataset, imbalance_stats
 from imbench.errors import KTooLargeError, MinorityTooSmallError, SingleClassError
 from imbench.oversamplers import (
@@ -201,6 +202,18 @@ class TestBorderlineSmote:
         assert aug.n_synthetic == 3  # 5 majority - 2 minority
         for src, _ in aug.synthesis_log:
             assert src == 0
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected(self, make_dataset, monkeypatch, m):
+        # raised before any neighbour search, with no SMOTE fallback warning
+        def no_search(*args):
+            raise AssertionError("neighbour search ran")
+
+        monkeypatch.setattr(ovs, "_neighbors", no_search)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                borderline_smote(make_dataset(*DANGER_PAIR), k=1, m=m, seed=0)
 
     def test_sources_always_in_danger_set(self):
         rng = np.random.default_rng(21)
