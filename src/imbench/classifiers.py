@@ -63,7 +63,6 @@ class MLPSpec:
 class TrainedClassifier:
     """Frozen fitted model; subclasses implement predict_proba."""
 
-    kind = "base"
     threshold = 0.5
 
     def __init__(self, n_features: int):
@@ -91,8 +90,6 @@ def predict_labels(model: TrainedClassifier, features: np.ndarray) -> np.ndarray
 
 
 class LogisticModel(TrainedClassifier):
-    kind = "logreg"
-
     def __init__(self, weights: np.ndarray, bias: float):
         super().__init__(weights.shape[0])
         self.weights = weights
@@ -266,8 +263,6 @@ def _cart_tree(x, y, rows, rng, spec: ForestSpec, n_candidates) -> _Node:
 
 
 class ForestModel(TrainedClassifier):
-    kind = "random_forest"
-
     def __init__(self, trees: list[_Node], n_features: int):
         super().__init__(n_features)
         self.trees = trees
@@ -319,8 +314,6 @@ def _gbt_tree(x, g, h, max_depth, lam, rows=None) -> _Node:
 
 
 class BoostedModel(TrainedClassifier):
-    kind = "gbt"
-
     def __init__(self, base_score, trees, learning_rate, n_features, train_loss_history):
         super().__init__(n_features)
         self.base_score = base_score
@@ -369,8 +362,6 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
 
 
 class MLPModel(TrainedClassifier):
-    kind = "mlp"
-
     def __init__(self, net: nn.MLPNetwork):
         super().__init__(net.input_dim)
         self.net = net

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -90,11 +92,21 @@ def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
     return config, out_dir, fmt
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise OSError if ``out_dir`` cannot be made and written; makes nothing."""
+    probe = os.path.abspath(out_dir)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise OSError(f"output directory {out_dir}: {probe} is not a writable directory")
+
+
 def _cmd_run(args) -> int:
-    # everything that can escape before the first cell runs is bad input:
-    # the flags, the config file, or a dataset file that is missing or malformed
+    # everything that can escape before the first cell runs is bad input: the flags,
+    # the config file, the output directory, or a missing or malformed dataset file
     try:
         config, out_dir, fmt = _run_settings(args)
+        _check_out_dir(out_dir)
         report = bench.run_benchmark(config, max_workers=args.workers)
     except (ImbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -113,8 +125,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    ds = bench.synth_dataset(args.minority, args.majority, args.features, args.separation, args.seed)
-    save_csv(ds, args.out, label_column="label")
+    try:
+        ds = bench.synth_dataset(args.minority, args.majority, args.features, args.separation, args.seed)
+        save_csv(ds, args.out, label_column="label")
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out} ({ds.n_rows} rows, {ds.n_features} features)")
     return 0
 
@@ -128,12 +144,17 @@ def _cmd_rank(args) -> int:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ValueError(f"rank input needs columns {sorted(required)}")
             for row in reader:
-                table[(row["dataset"], row["classifier"], row["sampler"])] = float(row["f1"])
-        rank = bench.mean_rank(table)
+                key = (row["dataset"], row["classifier"], row["sampler"])
+                f1 = float(row["f1"])
+                if not math.isfinite(f1):
+                    raise ValueError(f"non-finite F1 {row['f1']!r} for {key}")
+                if key in table:
+                    raise ValueError(f"more than one F1 for {key}")
+                table[key] = f1
+        bench.write_ranks_csv(bench.mean_rank(table), args.out)
     except (ValueError, OSError) as exc:  # IncompleteTableError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    bench.write_ranks_csv(rank, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -10,14 +10,12 @@ demand.
 
 Data enters the GAN in tanh space: rows scaled to [0,1] upstream are mapped
 affinely to [-1,1] before touching either network, and generated rows are
-mapped back. The mapping lives on the model as ``range_map``.
+mapped back.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,27 +62,11 @@ class TrainingConfig:
         return self.feature_layer_index
 
 
-@dataclass(frozen=True)
-class RangeMap:
-    """Affine bijection between data space [lo, hi] and tanh space [-1, 1]."""
-
-    lo: float = 0.0
-    hi: float = 1.0
-
-    def to_gan(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0
-
-    def to_data(self, g: np.ndarray) -> np.ndarray:
-        return (g + 1.0) / 2.0 * (self.hi - self.lo) + self.lo
-
-
 @dataclass
 class GANModel:
     generator: nn.MLPNetwork
     discriminator: nn.MLPNetwork
     config: TrainingConfig
-    range_map: RangeMap
-    minority_label: int
     # one (d_loss, g_loss) pair per epoch
     loss_history: list[tuple[float, float]] = field(default_factory=list)
     objective: str = "sdg-gan"
@@ -155,14 +137,13 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
 
     rng = np.random.default_rng(seed)
     gen, disc = _build_networks(train.n_features, config, rng)
-    range_map = RangeMap()
     feat_idx = config.resolved_feature_layer()
 
     gen_opt = nn.AdamState(gen.parameters(), learning_rate=config.learning_rate)
     disc_opt = nn.AdamState(disc.parameters(), learning_rate=config.learning_rate)
 
     n = train.n_rows
-    x_gan = range_map.to_gan(x)
+    x_gan = 2.0 * x - 1.0  # [0,1] -> tanh space
     labels = train.labels.astype(np.float64)
     history: list[tuple[float, float]] = []
 
@@ -210,7 +191,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
         if d_losses:
             history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
 
-    return GANModel(gen, disc, config, range_map, MINORITY, history, objective)
+    return GANModel(gen, disc, config, history, objective)
 
 
 def train_sdg_gan(train: Dataset, config: TrainingConfig | None = None, seed: int = 0) -> GANModel:
@@ -229,9 +210,9 @@ def generate_minority(model: GANModel, n: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.noise_dim))
-    cond = np.full(n, float(model.minority_label))
+    cond = np.full(n, float(MINORITY))
     out, _ = nn.forward(model.generator, _conditioned(z, cond), training=False)
-    return model.range_map.to_data(out)
+    return (out + 1.0) / 2.0
 
 
 def oversample_to_balance(model: GANModel, train: Dataset, seed: int = 0) -> AugmentedDataset:
@@ -247,52 +228,3 @@ def oversample_to_balance(model: GANModel, train: Dataset, seed: int = 0) -> Aug
     log = [(-1, -1)] * gap  # generated rows have no source/neighbor pair
     return _assemble(train, synth, model.objective, seed, log)
 
-
-def save_model(model: GANModel, path) -> None:
-    """GAN checkpoint: both networks plus config/range/label header in one npz."""
-    header = {
-        "config": asdict(model.config),
-        "range_map": [model.range_map.lo, model.range_map.hi],
-        "minority_label": model.minority_label,
-        "objective": model.objective,
-        "g_acts": [ly.activation for ly in model.generator.layers],
-        "d_acts": [ly.activation for ly in model.discriminator.layers],
-        "g_dropout": model.generator.dropout_rate,
-        "d_dropout": model.discriminator.dropout_rate,
-        "loss_history": model.loss_history,
-    }
-    header_bytes = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    np.savez(
-        path,
-        **nn.network_arrays(model.generator, "g_"),
-        **nn.network_arrays(model.discriminator, "d_"),
-        header=header_bytes,
-    )
-
-
-def load_model(path) -> GANModel:
-    with np.load(path) as z:
-        header = json.loads(bytes(z["header"]).decode("utf-8"))
-        gen = nn.network_from_arrays(z, "g_", header["g_acts"], header["g_dropout"])
-        disc = nn.network_from_arrays(z, "d_", header["d_acts"], header["d_dropout"])
-    cfg = header["config"]
-    config = TrainingConfig(**{
-        **cfg,
-        "generator_hidden": tuple(cfg["generator_hidden"]),
-        "discriminator_hidden": tuple(cfg["discriminator_hidden"]),
-    })
-    lo, hi = header["range_map"]
-    history = [tuple(pair) for pair in header["loss_history"]]
-    return GANModel(
-        gen, disc, config, RangeMap(lo, hi),
-        header["minority_label"], history, header["objective"],
-    )
-
-
-def export_loss_history(model: GANModel, path) -> None:
-    """Write per-epoch losses as CSV with columns epoch,d_loss,g_loss."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "d_loss", "g_loss"])
-        for epoch, (d_loss, g_loss) in enumerate(model.loss_history):
-            writer.writerow([epoch, repr(d_loss), repr(g_loss)])

@@ -9,7 +9,6 @@ which is what lets a generator train through a frozen discriminator prefix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,36 +258,3 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     grad = (pc - t) / (pc * (1.0 - pc)) / n
     return loss, grad
 
-
-def network_arrays(net: MLPNetwork, prefix: str = "") -> dict[str, np.ndarray]:
-    """The npz arrays of one network: ``{prefix}w{i}`` and ``{prefix}b{i}``."""
-    out = {}
-    for i, ly in enumerate(net.layers):
-        out[f"{prefix}w{i}"] = ly.weights
-        out[f"{prefix}b{i}"] = ly.bias
-    return out
-
-
-def network_from_arrays(z, prefix: str, activations, dropout_rate: float) -> MLPNetwork:
-    """Inverse of ``network_arrays``; ``z`` maps the same keys to arrays."""
-    layers = [
-        Layer(z[f"{prefix}w{i}"], z[f"{prefix}b{i}"], act) for i, act in enumerate(activations)
-    ]
-    return MLPNetwork(layers, dropout_rate)
-
-
-def save_network(net: MLPNetwork, path) -> None:
-    """Serialize to .npz; round-trips bit-exactly (float64 arrays as-is)."""
-    meta = {
-        "n_layers": len(net.layers),
-        "activations": [ly.activation for ly in net.layers],
-        "dropout_rate": net.dropout_rate,
-    }
-    meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **network_arrays(net), meta=meta_bytes)
-
-
-def load_network(path) -> MLPNetwork:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-        return network_from_arrays(z, "", meta["activations"], meta["dropout_rate"])

@@ -35,6 +35,27 @@ class TestSynthCommand:
         expected = synth_dataset(30, 90, 4, 0.3, seed=7)
         assert np.allclose(np.sort(ds.features, axis=0), np.sort(expected.features, axis=0))
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--minority", "0", "error: counts and feature dimension must be positive"),
+            ("--separation", "nan", "error: features contain non-finite values"),
+            ("--out", "nodir/s.csv", "error: "),
+        ],
+        ids=["minority-0", "separation-nan", "out-in-missing-dir"],
+    )
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        args = {
+            "--minority": "3", "--majority": "9", "--features": "2",
+            "--separation": "0.3", "--out": str(tmp_path / "s.csv"),
+        }
+        args[flag] = str(tmp_path / value) if flag == "--out" else value
+        code = cli.main(["synth", *(part for item in args.items() for part in item)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunCommand:
     def test_flags_only_run(self, tmp_path, capsys):
@@ -183,6 +204,23 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: epochs must be >= 0\n"
         assert cells == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out_dir", ["taken", "taken/out"])
+    def test_unusable_out_dir_is_usage_error(self, tmp_path, capsys, monkeypatch, out_dir):
+        # the output directory is checked before any cell runs
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+        (tmp_path / "taken").write_text("a file\n")
+        code = cli.main(
+            [
+                "run", "--dataset", write_toy_csv(tmp_path), "--label-col", "y",
+                "--samplers", "none", "--classifiers", "logreg", "--out-dir", str(tmp_path / out_dir),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a writable directory" in err and err.count("\n") == 1
+        assert cells == []
+
     def test_missing_dataset_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = cli.main(
@@ -250,9 +288,32 @@ class TestRankCommand:
 
     def test_non_numeric_f1_is_usage_error(self, tmp_path, capsys):
         table = tmp_path / "f1.csv"
-        table.write_text("dataset,classifier,sampler,f1\nd1,c1,A,high\n")
+        for f1, message in [
+            ("high", "error: could not convert"),
+            ("nan", "error: non-finite F1 'nan' for ('d1', 'c1', 'A')\n"),
+            ("inf", "error: non-finite F1 'inf' for ('d1', 'c1', 'A')\n"),
+            ("-inf", "error: non-finite F1 '-inf' for ('d1', 'c1', 'A')\n"),
+        ]:
+            table.write_text(f"dataset,classifier,sampler,f1\nd1,c1,A,{f1}\nd1,c1,B,0.5\n")
+            assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1
+            assert not (tmp_path / "o.csv").exists()
+
+    def test_repeated_row_is_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "f1.csv"
+        table.write_text("dataset,classifier,sampler,f1\nd,c,a,0.5\nd,c,b,0.7\nd,c,a,0.9\n")
         assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error: could not convert")
+        assert capsys.readouterr().err == "error: more than one F1 for ('d', 'c', 'a')\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        table = tmp_path / "f1.csv"
+        table.write_text("dataset,classifier,sampler,f1\nd,c,a,0.5\nd,c,b,0.7\n")
+        out = tmp_path / "nodir" / "r.csv"
+        assert cli.main(["rank", "--f1-table", str(table), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
     def test_missing_f1_table_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,10 @@ from imbench.data import Dataset
 from imbench.errors import ConfigInvalidError, DimensionMismatchError, SingleClassError
 from imbench.gan import (
     GANModel,
-    RangeMap,
     TrainingConfig,
-    export_loss_history,
     feature_matching_loss,
     generate_minority,
-    load_model,
     oversample_to_balance,
-    save_model,
     train_cgan,
     train_sdg_gan,
 )
@@ -100,20 +98,19 @@ class TestFeatureMatchingLoss:
         second = feature_matching_loss(disc, real, fake, 0)
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
-    def test_sees_in_place_updates(self, tmp_path):
+    def test_sees_in_place_updates(self):
         # the loss must follow the discriminator's live parameters: after an
-        # Adam step it equals the loss of a reloaded copy of the updated net
+        # Adam step it equals the loss of a deep copy of the updated net
         rng = np.random.default_rng(3)
         disc = nn.init_network([(3, 6), (6, 4), (4, 1)], ["relu", "relu", "sigmoid"], seed=rng)
         real, fake = rng.random((5, 3)), rng.random((4, 3))
         before = feature_matching_loss(disc, real, fake, 1)[0]
         opt = nn.AdamState(disc.parameters(), learning_rate=0.1)
         nn.adam_step(opt, disc.parameters(), [rng.standard_normal(p.shape) for p in disc.parameters()])
-        nn.save_network(disc, tmp_path / "disc.npz")
-        copy = nn.load_network(tmp_path / "disc.npz")
+        updated = copy.deepcopy(disc)
         after = feature_matching_loss(disc, real, fake, 1)[0]
         assert after != before
-        assert after == feature_matching_loss(copy, real, fake, 1)[0]
+        assert after == feature_matching_loss(updated, real, fake, 1)[0]
 
     def test_empty_batch_rejected(self):
         disc = nn.init_network([(2, 3), (3, 1)], ["relu", "sigmoid"], seed=0)
@@ -211,7 +208,7 @@ class TestGenerateMinority:
         w[noise_dim, 0] = 1.0
         gen = nn.MLPNetwork([nn.Layer(w, np.zeros(1), "identity")])
         disc = nn.init_network([(2, 4), (4, 1)], ["relu", "sigmoid"], seed=0)
-        model = GANModel(gen, disc, TrainingConfig(noise_dim=noise_dim), RangeMap(), 1)
+        model = GANModel(gen, disc, TrainingConfig(noise_dim=noise_dim))
         rows = generate_minority(model, 20, seed=0)
         assert np.allclose(rows, 1.0)
 
@@ -257,33 +254,6 @@ class TestOversampleToBalance:
         model = train_sdg_gan(scaled_toy(n_features=2), tiny_config(0), seed=0)
         with pytest.raises(ValueError, match="remap"):
             oversample_to_balance(model, ds)
-
-
-class TestModelIO:
-    def test_round_trip_bit_exact(self, tmp_path):
-        ds = scaled_toy()
-        model = train_sdg_gan(ds, tiny_config(2), seed=8)
-        path = tmp_path / "gan.npz"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.config == model.config
-        assert back.minority_label == model.minority_label
-        assert back.objective == model.objective
-        assert back.loss_history == model.loss_history
-        assert np.array_equal(
-            generate_minority(back, 16, seed=1), generate_minority(model, 16, seed=1)
-        )
-
-    def test_loss_history_export(self, tmp_path):
-        ds = scaled_toy()
-        model = train_sdg_gan(ds, tiny_config(2), seed=8)
-        path = tmp_path / "loss.csv"
-        export_loss_history(model, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,d_loss,g_loss"
-        assert len(lines) == 3
-        epoch, d_loss, g_loss = lines[1].split(",")
-        assert (float(d_loss), float(g_loss)) == model.loss_history[0]
 
 
 class TestDistributionSmoke:

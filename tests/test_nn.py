@@ -291,30 +291,9 @@ class TestBceLoss:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        net = nn.init_network(
-            [(5, 8), (8, 3)], ["relu", "tanh"], dropout_rate=0.25, seed=42
-        )
-        path = tmp_path / "net.npz"
-        nn.save_network(net, path)
-        back = nn.load_network(path)
-        assert back.dropout_rate == net.dropout_rate
-        for a, b in zip(net.layers, back.layers):
-            assert a.activation == b.activation
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-        x = np.random.default_rng(0).random((4, 5))
-        assert np.array_equal(nn.forward(net, x)[0], nn.forward(back, x)[0])
-
-    def test_non_finite_weights_rejected(self, tmp_path):
+    def test_non_finite_weights_rejected(self):
         for bad in (np.nan, np.inf):
             w = np.ones((2, 1))
             w[1, 0] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 nn.MLPNetwork([nn.Layer(w, np.zeros(1), "identity")])
-        net = nn.init_network([(2, 1)], ["identity"], seed=0)
-        net.layers[0].bias[0] = np.nan  # live arrays are not re-checked
-        path = tmp_path / "nan.npz"
-        nn.save_network(net, path)
-        with pytest.raises(ValueError, match="non-finite"):
-            nn.load_network(path)
