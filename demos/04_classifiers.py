@@ -24,9 +24,9 @@ test_s = minmax_transform(scaler, split.test)
 balanced = smote(train_s, seed=9).data
 
 specs = [
-    ("logreg", LogRegSpec(seed=0)),
+    ("logreg", LogRegSpec()),
     ("random forest", ForestSpec(seed=0)),
-    ("gbt", GBTSpec(seed=0)),
+    ("gbt", GBTSpec()),
     ("mlp", MLPSpec(epochs=50, seed=0)),
 ]
 print(f"{'classifier':14s} {'recall':>7s} {'precision':>10s} {'f1':>7s}")

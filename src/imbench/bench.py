@@ -13,7 +13,6 @@ import concurrent.futures
 import csv
 import hashlib
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +100,6 @@ class ExperimentConfig:
 class CellStats:
     mean: dict[str, float]  # metric -> mean over runs
     std: dict[str, float]
-    n_runs: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,6 @@ class MetricsReport:
     # (dataset, sampler, classifier) -> CellStats
     cells: dict[tuple[str, str, str], CellStats]
     failures: dict[tuple[str, str, str], str]
-    runs: int
 
 
 @dataclass(frozen=True)
@@ -121,11 +118,11 @@ class RankTable:
 
 def _classifier_spec(name: str, seed: int):
     if name == "logreg":
-        return LogRegSpec(seed=seed)
+        return LogRegSpec()
     if name == "rf":
         return ForestSpec(seed=seed)
     if name == "gbt":
-        return GBTSpec(seed=seed)
+        return GBTSpec()
     if name == "mlp":
         return MLPSpec(seed=seed)
     raise ValueError(f"unknown classifier {name!r}")
@@ -175,9 +172,7 @@ def run_cell(
     scaler = minmax_fit(split.train)
     train_s = minmax_transform(scaler, split.train)
     test_s = minmax_transform(scaler, split.test)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # tiny fixtures cap k noisily
-        balanced = _apply_sampler(sampler, train_s, stable_seed(run_seed, "sampler"), gan_config)
+    balanced = _apply_sampler(sampler, train_s, stable_seed(run_seed, "sampler"), gan_config)
     spec = _classifier_spec(classifier, stable_seed(run_seed, "classifier"))
     model = train_classifier(balanced, spec)
     y_pred = predict_labels(model, test_s.features)
@@ -256,9 +251,8 @@ def run_benchmark(
                 cells[(name, sampler, classifier)] = CellStats(
                     dict(zip(METRICS, mean.tolist())),
                     dict(zip(METRICS, std.tolist())),
-                    config.runs,
                 )
-    return MetricsReport(cells, failures, config.runs)
+    return MetricsReport(cells, failures)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

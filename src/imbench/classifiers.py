@@ -28,14 +28,12 @@ def _require_both_classes(train: Dataset) -> None:
 class LogRegSpec:
     learning_rate: float = 0.1
     iterations: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True)
 class ForestSpec:
     n_trees: int = 100
     max_depth: int | None = None
-    min_samples_split: int = 2
     max_features: str | None = "sqrt"  # "sqrt" or None (all features)
     bootstrap: bool = True
     seed: int = 0
@@ -47,7 +45,6 @@ class GBTSpec:
     max_depth: int = 3
     learning_rate: float = 0.1
     l2: float = 1.0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -56,14 +53,11 @@ class MLPSpec:
     epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 1e-3
-    dropout: float = 0.0
     seed: int = 0
 
 
 class TrainedClassifier:
     """Frozen fitted model; subclasses implement predict_proba."""
-
-    threshold = 0.5
 
     def __init__(self, n_features: int):
         self.n_features = n_features
@@ -82,7 +76,7 @@ class TrainedClassifier:
 
 def predict_labels(model: TrainedClassifier, features: np.ndarray) -> np.ndarray:
     """Label 1 iff probability >= 0.5 (ties to the positive class)."""
-    return (model.predict_proba(features) >= model.threshold).astype(np.int64)
+    return (model.predict_proba(features) >= 0.5).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +187,10 @@ def _best_split(x, rows, features, cost, n_candidates=None, max_cost=math.inf):
     return None if best is None else best[1:]
 
 
-def _grow_tree(x, rows, leaf_value, find_split, max_depth, min_samples_split) -> _Node:
+def _grow_tree(x, rows, leaf_value, find_split, max_depth) -> _Node:
     """Iterative, so unlimited depth cannot hit the recursion limit. A node
-    with rows idx (ascending) gets leaf_value(idx), then, unless it is under
-    min_samples_split rows or at max_depth (None: unlimited), the (feature,
+    with rows idx (ascending) gets leaf_value(idx), then, unless it has
+    under 2 rows or is at max_depth (None: unlimited), the (feature,
     threshold) of find_split(idx, the presort rows of x filtered to idx) or
     None for a leaf. Rows with x[:, feature] < threshold go left; right
     children are grown first, which fixes the order of random draws."""
@@ -206,7 +200,7 @@ def _grow_tree(x, rows, leaf_value, find_split, max_depth, min_samples_split) ->
     while stack:
         node, idx, rows, depth = stack.pop()
         node.value = leaf_value(idx)
-        if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth):
+        if idx.size < 2 or (max_depth is not None and depth >= max_depth):
             continue
         split = find_split(idx, rows)
         if split is None:
@@ -259,7 +253,7 @@ def _cart_tree(x, y, rows, rng, spec: ForestSpec, n_candidates) -> _Node:
         order = features if n_candidates is None else rng.permutation(features.size)
         return _best_split(x, rows, order, partial(_gini_cost, y), n_candidates)
 
-    return _grow_tree(x, rows, leaf_value, find_split, spec.max_depth, spec.min_samples_split)
+    return _grow_tree(x, rows, leaf_value, find_split, spec.max_depth)
 
 
 class ForestModel(TrainedClassifier):
@@ -310,7 +304,7 @@ def _gbt_tree(x, g, h, max_depth, lam, rows=None) -> _Node:
         return _best_split(x, rows, features, cost, max_cost=-1e-12)
 
     rows = _presort(_value_ranks(x)) if rows is None else rows
-    return _grow_tree(x, rows, leaf_value, find_split, max_depth, min_samples_split=2)
+    return _grow_tree(x, rows, leaf_value, find_split, max_depth)
 
 
 class BoostedModel(TrainedClassifier):
@@ -380,7 +374,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
     sizes = [train.n_features, *spec.hidden, 1]
     dims = list(zip(sizes[:-1], sizes[1:]))
     acts = ["relu"] * len(spec.hidden) + ["sigmoid"]
-    net = nn.init_network(dims, acts, dropout_rate=spec.dropout, seed=rng)
+    net = nn.init_network(dims, acts, seed=rng)
     opt = nn.AdamState(net.parameters(), learning_rate=spec.learning_rate)
     x, y = train.features, train.labels.astype(np.float64)
     for _ in range(spec.epochs):

@@ -14,7 +14,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench
@@ -65,31 +64,28 @@ def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
     if not datasets:
         raise ConfigInvalidError("no datasets (use --dataset or a config file)")
 
-    samplers = tuple(args.samplers.split(",")) if args.samplers else file_cfg.get("samplers", bench.SAMPLERS)
-    classifiers = (
-        tuple(args.classifiers.split(",")) if args.classifiers else file_cfg.get("classifiers", bench.CLASSIFIERS)
-    )
-    runs = args.runs if args.runs is not None else file_cfg.get("runs", 10)
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
-    out_dir = args.out_dir or file_cfg.get("out_dir", "bench-out")
-    fmt = args.format or file_cfg.get("format", "csv")
+    flags = {
+        "samplers": tuple(args.samplers.split(",")) if args.samplers else None,
+        "classifiers": tuple(args.classifiers.split(",")) if args.classifiers else None,
+        "runs": args.runs,
+        "seed": args.seed,
+        "test_fraction": args.test_fraction,
+        "gan_epochs": args.gan_epochs,
+        "out_dir": args.out_dir or None,
+        "format": args.format,
+    }
+    # flags override the file; a run setting neither sets keeps ExperimentConfig's default
+    chosen = {**file_cfg, **{k: v for k, v in flags.items() if v is not None}}
+    fmt = chosen.get("format", "csv")
     if fmt not in ("csv", "markdown"):
         raise ConfigInvalidError(f"format must be csv or markdown, got {fmt!r}")
-    gan_config = TrainingConfig()
-    gan_epochs = args.gan_epochs if args.gan_epochs is not None else file_cfg.get("gan_epochs")
-    if gan_epochs is not None:
-        gan_config = replace(gan_config, epochs=gan_epochs)
-
-    config = bench.ExperimentConfig(
-        datasets=tuple(datasets),
-        samplers=samplers,
-        classifiers=classifiers,
-        runs=runs,
-        test_fraction=args.test_fraction if args.test_fraction is not None else file_cfg.get("test_fraction", 0.2),
-        master_seed=seed,
-        gan_config=gan_config,
-    )
-    return config, out_dir, fmt
+    settings = {k: chosen[k] for k in ("samplers", "classifiers", "runs", "test_fraction") if k in chosen}
+    if "seed" in chosen:
+        settings["master_seed"] = chosen["seed"]
+    if "gan_epochs" in chosen:
+        settings["gan_config"] = TrainingConfig(epochs=chosen["gan_epochs"])
+    config = bench.ExperimentConfig(datasets=tuple(datasets), **settings)
+    return config, chosen.get("out_dir", "bench-out"), fmt
 
 
 def _check_out_dir(out_dir: str) -> None:

@@ -80,9 +80,6 @@ class LoadReport:
     """Side-report from load_csv: how raw label values were mapped."""
 
     label_mapping: dict  # raw string -> 0/1
-    label_counts: dict  # raw string -> count
-    n_rows: int
-    n_features: int
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,6 @@ class ImbalanceStats:
 class TrainTestSplit:
     train: Dataset
     test: Dataset
-    seed: int
 
 
 def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, LoadReport]:
@@ -174,41 +170,22 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, LoadR
         raise NonBinaryLabelsError(
             f"label column must hold exactly 2 distinct values, got {distinct[:5]}"
         )
-    counts = {v: raw_labels.count(v) for v in distinct}
+    d0, d1 = distinct
     # rarer value -> 1; on a tie the lexicographically smaller value -> 0
-    if counts[distinct[0]] <= counts[distinct[1]]:
-        rare, common = distinct[0], distinct[1]
-        if counts[distinct[0]] == counts[distinct[1]]:
-            rare, common = distinct[1], distinct[0]
-    else:
-        rare, common = distinct[1], distinct[0]
+    rare, common = (d0, d1) if raw_labels.count(d0) < raw_labels.count(d1) else (d1, d0)
     mapping = {common: 0, rare: 1}
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ds = Dataset(np.array(rows, dtype=np.float64), labels, feature_names)
-    report = LoadReport(mapping, counts, ds.n_rows, ds.n_features)
-    return ds, report
+    return ds, LoadReport(mapping)
 
 
-def save_csv(
-    d: Dataset,
-    path: str | os.PathLike,
-    label_column: str = "label",
-    provenance: np.ndarray | None = None,
-) -> None:
-    """Write a Dataset back to CSV; optional per-row provenance column."""
-    if provenance is not None and len(provenance) != d.n_rows:
-        raise DimensionMismatchError("provenance length does not match row count")
+def save_csv(d: Dataset, path: str | os.PathLike, label_column: str = "label") -> None:
+    """Write a Dataset back to CSV, features as repr floats, label last."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(d.feature_names) + [label_column]
-        if provenance is not None:
-            header.append("provenance")
-        writer.writerow(header)
+        writer.writerow(list(d.feature_names) + [label_column])
         for i in range(d.n_rows):
-            row = [repr(float(v)) for v in d.features[i]] + [int(d.labels[i])]
-            if provenance is not None:
-                row.append("synthetic" if provenance[i] else "real")
-            writer.writerow(row)
+            writer.writerow([repr(float(v)) for v in d.features[i]] + [int(d.labels[i])])
 
 
 def minmax_fit(d: Dataset) -> ScalerParams:
@@ -277,4 +254,4 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSp
         raise TooFewRowsError("split left one side empty; dataset too small for this fraction")
     train = Dataset(d.features[tr], d.labels[tr], d.feature_names)
     test = Dataset(d.features[te], d.labels[te], d.feature_names)
-    return TrainTestSplit(train, test, seed)
+    return TrainTestSplit(train, test)

@@ -25,41 +25,26 @@ from .errors import ConfigInvalidError, DimensionMismatchError, SingleClassError
 from .oversamplers import MINORITY, AugmentedDataset, _assemble, _check_two_classes, _unchanged
 
 
+# the published training settings (Charitou et al., arXiv 2109.12546)
+LEARNING_RATE = 1e-4
+DROPOUT = 0.2
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
-    learning_rate: float = 1e-4
     epochs: int = 100
     batch_size: int = 64
     noise_dim: int = 50
-    dropout: float = 0.2
     generator_hidden: tuple[int, ...] = (128, 64)
     discriminator_hidden: tuple[int, ...] = (128, 64, 32)
-    # index into the discriminator's layers; None = deepest hidden layer
-    # (the 32-unit one under the default architecture)
-    feature_layer_index: int | None = None
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigInvalidError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigInvalidError("epochs must be >= 0")
         if self.batch_size < 1 or self.noise_dim < 1:
             raise ConfigInvalidError("batch_size and noise_dim must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigInvalidError("dropout must be in [0,1)")
         if not self.generator_hidden or not self.discriminator_hidden:
             raise ConfigInvalidError("hidden layer lists must be non-empty")
-        n_disc_layers = len(self.discriminator_hidden) + 1
-        idx = self.resolved_feature_layer()
-        if not 0 <= idx < n_disc_layers - 1:
-            raise ConfigInvalidError(
-                f"feature_layer_index {idx} must address a hidden discriminator layer"
-            )
-
-    def resolved_feature_layer(self) -> int:
-        if self.feature_layer_index is None:
-            return len(self.discriminator_hidden) - 1
-        return self.feature_layer_index
 
 
 @dataclass
@@ -114,11 +99,11 @@ def _build_networks(n_features: int, config: TrainingConfig, rng) -> tuple[nn.ML
     g_sizes = [config.noise_dim + 1, *config.generator_hidden, n_features]
     g_dims = list(zip(g_sizes[:-1], g_sizes[1:]))
     g_acts = ["relu"] * len(config.generator_hidden) + ["tanh"]
-    gen = nn.init_network(g_dims, g_acts, dropout_rate=config.dropout, seed=rng)
+    gen = nn.init_network(g_dims, g_acts, dropout_rate=DROPOUT, seed=rng)
     d_sizes = [n_features + 1, *config.discriminator_hidden, 1]
     d_dims = list(zip(d_sizes[:-1], d_sizes[1:]))
     d_acts = ["relu"] * len(config.discriminator_hidden) + ["sigmoid"]
-    disc = nn.init_network(d_dims, d_acts, dropout_rate=config.dropout, seed=rng)
+    disc = nn.init_network(d_dims, d_acts, dropout_rate=DROPOUT, seed=rng)
     return gen, disc
 
 
@@ -137,10 +122,10 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
 
     rng = np.random.default_rng(seed)
     gen, disc = _build_networks(train.n_features, config, rng)
-    feat_idx = config.resolved_feature_layer()
+    feat_idx = len(config.discriminator_hidden) - 1  # the deepest hidden layer
 
-    gen_opt = nn.AdamState(gen.parameters(), learning_rate=config.learning_rate)
-    disc_opt = nn.AdamState(disc.parameters(), learning_rate=config.learning_rate)
+    gen_opt = nn.AdamState(gen.parameters(), learning_rate=LEARNING_RATE)
+    disc_opt = nn.AdamState(disc.parameters(), learning_rate=LEARNING_RATE)
 
     n = train.n_rows
     x_gan = 2.0 * x - 1.0  # [0,1] -> tanh space
@@ -223,8 +208,8 @@ def oversample_to_balance(model: GANModel, train: Dataset, seed: int = 0) -> Aug
         )
     _, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, model.objective, seed)
+        return _unchanged(train, model.objective)
     synth = generate_minority(model, gap, seed)
     log = [(-1, -1)] * gap  # generated rows have no source/neighbor pair
-    return _assemble(train, synth, model.objective, seed, log)
+    return _assemble(train, synth, model.objective, log)
 

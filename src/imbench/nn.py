@@ -206,17 +206,20 @@ def backward(
     return grads, delta
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class AdamState:
     """Per-parameter Adam moments plus the step counter."""
 
-    def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, learning_rate=1e-4):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
 
 
 def adam_step(state: AdamState, params, grads) -> None:
@@ -228,7 +231,7 @@ def adam_step(state: AdamState, params, grads) -> None:
         if p.shape != g.shape or p.shape != state.m[i].shape:
             raise DimensionMismatchError(f"shape mismatch at parameter {i}")
     state.t += 1
-    b1, b2, lr = state.beta1, state.beta2, state.learning_rate
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         # the same operations, in the same order, as m = b1*m + (1-b1)*g etc.
@@ -236,7 +239,7 @@ def adam_step(state: AdamState, params, grads) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.epsilon)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 PROB_EPS = 1e-7

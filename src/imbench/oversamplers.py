@@ -86,7 +86,6 @@ class AugmentedDataset:
     data: Dataset
     provenance: np.ndarray  # bool, True = synthetic
     sampler: str
-    seed: int
     synthesis_log: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -116,17 +115,17 @@ def _check_two_classes(train: Dataset) -> tuple[np.ndarray, int]:
 
 
 def _assemble(
-    train: Dataset, synth: np.ndarray, sampler: str, seed: int, log: list[tuple[int, int]]
+    train: Dataset, synth: np.ndarray, sampler: str, log: list[tuple[int, int]]
 ) -> AugmentedDataset:
     feats = np.vstack([train.features, synth])
     labels = np.concatenate([train.labels, np.full(synth.shape[0], MINORITY, dtype=np.int64)])
     flags = np.concatenate([np.zeros(train.n_rows, dtype=bool), np.ones(synth.shape[0], dtype=bool)])
     data = Dataset(feats, labels, train.feature_names)
-    return AugmentedDataset(data, flags, sampler, seed, tuple(log))
+    return AugmentedDataset(data, flags, sampler, tuple(log))
 
 
-def _unchanged(train: Dataset, sampler: str, seed: int) -> AugmentedDataset:
-    return _assemble(train, np.empty((0, train.n_features)), sampler, seed, [])
+def _unchanged(train: Dataset, sampler: str) -> AugmentedDataset:
+    return _assemble(train, np.empty((0, train.n_features)), sampler, [])
 
 
 def random_oversample(train: Dataset, seed: int = 0) -> AugmentedDataset:
@@ -136,7 +135,7 @@ def random_oversample(train: Dataset, seed: int = 0) -> AugmentedDataset:
     picks = minority_idx[rng.integers(0, minority_idx.size, size=gap)]
     synth = train.features[picks].copy()
     log = [(int(i), int(i)) for i in picks]
-    return _assemble(train, synth, "ros", seed, log)
+    return _assemble(train, synth, "ros", log)
 
 
 def _effective_k(k: int, n_minority: int, sampler: str) -> int:
@@ -203,7 +202,7 @@ def _smote(
     rng = np.random.default_rng(seed)
     schedule = np.resize(rng.permutation(sources), gap)
     synth, log = _interpolate(train, minority_idx, schedule, k, rng)
-    return _assemble(train, synth, sampler, seed, log)
+    return _assemble(train, synth, sampler, log)
 
 
 def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
@@ -215,7 +214,7 @@ def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
     """
     minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, "smote", seed)
+        return _unchanged(train, "smote")
     k = _effective_k(k, minority_idx.size, "smote")
     return _smote(train, minority_idx, minority_idx, gap, k, seed, "smote")
 
@@ -230,7 +229,7 @@ def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> A
     """
     minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, "b-smote", seed)
+        return _unchanged(train, "b-smote")
     k = _effective_k(k, minority_idx.size, "b-smote")
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -278,7 +277,7 @@ def adasyn(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
     """ADASYN: per-row synthesis counts proportional to local majority density."""
     minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, "adasyn", seed)
+        return _unchanged(train, "adasyn")
     k = _effective_k(k, minority_idx.size, "adasyn")
     counts = _adasyn_counts(train, minority_idx, gap, k)
     if counts is None:
@@ -286,4 +285,4 @@ def adasyn(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
         return _smote(train, minority_idx, minority_idx, gap, k, seed, "adasyn")
     rng = np.random.default_rng(seed)
     synth, log = _interpolate(train, minority_idx, np.repeat(minority_idx, counts), k, rng)
-    return _assemble(train, synth, "adasyn", seed, log)
+    return _assemble(train, synth, "adasyn", log)

@@ -202,14 +202,14 @@ class TestTreeRules:
         return None if best is None else best[1:]
 
     @staticmethod
-    def walk(root, x, min_samples_split, max_depth, find_split):
+    def walk(root, x, max_depth, find_split):
         """Visit the nodes in the grower's order (right child first) and
         check each against find_split(rows), or None for a leaf."""
         stack = [(root, np.arange(x.shape[0]), 0)]
         splits = 0
         while stack:
             node, rows, depth = stack.pop()
-            if rows.size < min_samples_split or (max_depth is not None and depth >= max_depth):
+            if rows.size < 2 or (max_depth is not None and depth >= max_depth):
                 expected = None
             else:
                 expected = find_split(rows)
@@ -258,7 +258,7 @@ class TestTreeRules:
                     order = range(4) if n_candidates is None else tree_rng.permutation(4)
                     return self.brute_force_split(x, rows, order, gini, n_candidates)
 
-                splits += self.walk(root, x, 2, None, find_split)
+                splits += self.walk(root, x, None, find_split)
         assert splits > 20
 
     @pytest.mark.parametrize("lam", [1.0, 0.5])
@@ -288,7 +288,7 @@ class TestTreeRules:
                 def find_split(rows):
                     return self.brute_force_split(feats, rows, range(3), neg_gain, max_cost=-1e-12)
 
-                splits += self.walk(root, feats, 2, 3, find_split)
+                splits += self.walk(root, feats, 3, find_split)
                 values = np.empty(40)
                 for r in range(40):
                     node = root
@@ -333,8 +333,6 @@ class TestPredictLabels:
 
     def test_thresholding(self):
         class Fixed:
-            threshold = 0.5
-
             def predict_proba(self, x):
                 return np.array([0.2, 0.7])
 

@@ -41,12 +41,14 @@ class TestLoadCsv:
             load_csv(path, "y")
 
     def test_three_row_fixture_maps_rarer_label_to_one(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", "a,b,y\n1,2,yes\n3,4,no\n5,6,no\n")
-        ds, report = load_csv(path, "y")
-        assert ds.n_rows == 3 and ds.n_features == 2
-        assert report.label_mapping == {"no": 0, "yes": 1}
-        assert ds.labels.tolist() == [1, 0, 0]
-        assert ds.feature_names == ("a", "b")
+        # the rarer value sorts last ("yes") and first ("a")
+        for rare, common in (("yes", "no"), ("a", "b")):
+            text = f"a,b,y\n1,2,{rare}\n3,4,{common}\n5,6,{common}\n"
+            ds, report = load_csv(write_csv(tmp_path / "t.csv", text), "y")
+            assert ds.n_rows == 3 and ds.n_features == 2
+            assert report.label_mapping == {common: 0, rare: 1}
+            assert ds.labels.tolist() == [1, 0, 0]
+            assert ds.feature_names == ("a", "b")
 
     def test_label_tie_breaks_to_lexicographic(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "a,y\n1,1\n2,0\n3,1\n4,0\n")
@@ -88,18 +90,6 @@ class TestLoadCsv:
         back, _ = load_csv(path, "y")
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
-
-    def test_save_with_provenance_column(self, tmp_path, make_dataset):
-        from imbench.oversamplers import random_oversample
-
-        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [1, 0, 0, 0])
-        aug = random_oversample(ds, seed=0)
-        path = tmp_path / "prov.csv"
-        save_csv(aug.data, path, label_column="y", provenance=aug.provenance)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].endswith(",provenance")
-        flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
-        assert flags == ["real"] * 4 + ["synthetic"] * 2
 
     @pytest.mark.skipif(
         not os.path.isfile(PIMA_CSV),

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from imbench import gan as gan_mod
 from imbench import nn
 from imbench.bench import synth_dataset
 from imbench.data import Dataset
@@ -26,26 +27,35 @@ def scaled_toy(n_min=6, n_maj=18, n_features=3, seed=0):
 
 
 class TestTrainingConfig:
-    def test_defaults_match_published_settings(self):
+    def test_defaults_match_published_settings(self, monkeypatch):
+        assert gan_mod.LEARNING_RATE == 1e-4
+        assert gan_mod.DROPOUT == 0.2
         cfg = TrainingConfig()
-        assert cfg.learning_rate == 1e-4
         assert cfg.epochs == 100
         assert cfg.batch_size == 64
         assert cfg.noise_dim == 50
-        assert cfg.dropout == 0.2
         assert cfg.generator_hidden == (128, 64)
         assert cfg.discriminator_hidden == (128, 64, 32)
-        # default feature layer is the deepest hidden (32-unit) one
-        assert cfg.resolved_feature_layer() == 2
+        # _train matches features at the deepest hidden (32-unit) layer
+        layers = []
+
+        def recording_fm_loss(disc, real, fake, feature_layer_index):
+            layers.append(feature_layer_index)
+            return feature_matching_loss(disc, real, fake, feature_layer_index)
+
+        monkeypatch.setattr(gan_mod, "feature_matching_loss", recording_fm_loss)
+        model = train_sdg_gan(scaled_toy(), TrainingConfig(epochs=1), seed=0)
+        assert layers and set(layers) == {2}
+        assert model.generator.dropout_rate == model.discriminator.dropout_rate == 0.2
 
     def test_validation(self):
         with pytest.raises(ConfigInvalidError):
-            TrainingConfig(learning_rate=0.0).validate()
+            TrainingConfig(batch_size=0).validate()
         with pytest.raises(ConfigInvalidError):
-            TrainingConfig(dropout=1.0).validate()
+            TrainingConfig(noise_dim=0).validate()
         with pytest.raises(ConfigInvalidError):
-            TrainingConfig(feature_layer_index=3).validate()  # output layer
-        TrainingConfig(feature_layer_index=0).validate()
+            TrainingConfig(discriminator_hidden=()).validate()
+        TrainingConfig(discriminator_hidden=(8,)).validate()
 
 
 class TestFeatureMatchingLoss:

@@ -254,10 +254,6 @@ class TestAdam:
         with pytest.raises(DimensionMismatchError):
             nn.adam_step(state, params, [np.zeros(3)])
 
-    def test_moments_track_defaults(self):
-        state = nn.AdamState([np.zeros(1)])
-        assert state.beta1 == 0.9 and state.beta2 == 0.999 and state.epsilon == 1e-8
-
 
 class TestBceLoss:
     def test_perfect_prediction_near_zero(self):
