@@ -3,8 +3,8 @@
 Every cell seed is a stable SHA-256 hash of the master seed and the cell
 coordinates, so the whole benchmark is a pure function of (config, input
 files) and adding a sampler never perturbs the other cells. Cells may run
-concurrently; results land in a dict keyed by coordinates and assembly
-sorts, so scheduling order cannot change the report.
+concurrently; outcomes come back in task order, so scheduling order cannot
+change the report.
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def run_benchmark(
     (keyed by config dataset name). A failing cell is recorded in
     report.failures; the rest of the grid still completes.
     """
+    # imported on each call so a wrapper installed on data.load_csv, as
+    # perfbench's tracer installs one, sees every load; a module-level
+    # import would keep the original and silently zero data.load_csv_s
     from .data import load_csv
 
     config.validate()
@@ -218,58 +221,37 @@ def run_benchmark(
         else:
             datasets[name], _ = load_csv(path, label_col)
 
-    tasks = []
-    for name, _, _ in config.datasets:
-        for sampler in config.samplers:
-            for classifier in config.classifiers:
-                for run_idx in range(config.runs):
-                    tasks.append((name, datasets[name], sampler, classifier, run_idx, config))
-
+    # the one statement of the grid order: each cell's runs are consecutive tasks
+    tasks = [
+        (name, datasets[name], sampler, classifier, run_idx, config)
+        for name, _, _ in config.datasets
+        for sampler in config.samplers
+        for classifier in config.classifiers
+        for run_idx in range(config.runs)
+    ]
     if max_workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(_outcome, tasks))
     else:
         outcomes = list(map(_outcome, tasks))
-    results = {
-        (name, sampler, classifier, run_idx): out
-        for (name, _, sampler, classifier, run_idx, _), out in zip(tasks, outcomes)
-    }
 
     cells: dict[tuple[str, str, str], CellStats] = {}
     failures: dict[tuple[str, str, str], str] = {}
-    for name, _, _ in config.datasets:
-        for sampler in config.samplers:
-            for classifier in config.classifiers:
-                runs = [results[(name, sampler, classifier, r)] for r in range(config.runs)]
-                errs = [r for r in runs if isinstance(r, Exception)]
-                if errs:
-                    failures[(name, sampler, classifier)] = f"{type(errs[0]).__name__}: {errs[0]}"
-                    continue
-                arr = np.asarray(runs, dtype=np.float64)  # runs x 3
-                mean = arr.mean(axis=0)
-                std = arr.std(axis=0)
-                cells[(name, sampler, classifier)] = CellStats(
-                    dict(zip(METRICS, mean.tolist())),
-                    dict(zip(METRICS, std.tolist())),
-                )
+    for i in range(0, len(tasks), config.runs):
+        name, _, sampler, classifier, _, _ = tasks[i]
+        runs = outcomes[i : i + config.runs]
+        errs = [r for r in runs if isinstance(r, Exception)]
+        if errs:
+            failures[(name, sampler, classifier)] = f"{type(errs[0]).__name__}: {errs[0]}"
+            continue
+        arr = np.asarray(runs, dtype=np.float64)  # runs x 3
+        mean = arr.mean(axis=0)
+        std = arr.std(axis=0)
+        cells[(name, sampler, classifier)] = CellStats(
+            dict(zip(METRICS, mean.tolist())),
+            dict(zip(METRICS, std.tolist())),
+        )
     return MetricsReport(cells, failures)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank descending, 1 = best; tied values share the mean of their
-    positions."""
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    pos = 0
-    while pos < values.size:
-        end = pos
-        while end + 1 < values.size and values[order[end + 1]] == values[order[pos]]:
-            end += 1
-        avg = (pos + end) / 2.0 + 1.0
-        for j in range(pos, end + 1):
-            ranks[order[j]] = avg
-        pos = end + 1
-    return ranks
 
 
 def mean_rank(f1_table: dict[tuple[str, str, str], float]) -> RankTable:
@@ -280,23 +262,17 @@ def mean_rank(f1_table: dict[tuple[str, str, str], float]) -> RankTable:
     samplers = tuple(sorted({k[2] for k in f1_table}))
     if len(samplers) < 2:
         raise IncompleteTableError("ranking needs at least two samplers")
-    for d in datasets:
-        for c in classifiers:
-            for s in samplers:
-                if (d, c, s) not in f1_table:
-                    raise IncompleteTableError(f"missing F1 for {(d, c, s)}")
-    per_classifier: dict[str, dict[str, float]] = {}
-    all_ranks: dict[str, list[float]] = {s: [] for s in samplers}
-    for c in classifiers:
-        acc = {s: [] for s in samplers}
-        for d in datasets:
-            vals = np.array([f1_table[(d, c, s)] for s in samplers])
-            ranks = _average_ranks(vals)
-            for s, r in zip(samplers, ranks):
-                acc[s].append(r)
-                all_ranks[s].append(r)
-        per_classifier[c] = {s: float(np.mean(acc[s])) for s in samplers}
-    overall = {s: float(np.mean(all_ranks[s])) for s in samplers}
+    try:  # built in d, c, s order, so the error names the first missing key
+        f1 = np.array([[[f1_table[(d, c, s)] for s in samplers] for c in classifiers] for d in datasets])
+    except KeyError as exc:
+        raise IncompleteTableError(f"missing F1 for {exc.args[0]}") from None
+    # 1 = best; tied samplers share the mean of their positions. [d, c, s, t]
+    # compares sampler t with s, so equal counts s. Half-integer ranks sum exactly.
+    greater = (f1[..., None, :] > f1[..., :, None]).sum(axis=-1)
+    equal = (f1[..., None, :] == f1[..., :, None]).sum(axis=-1)
+    ranks = greater + (equal + 1) / 2
+    per_classifier = {c: dict(zip(samplers, row.tolist())) for c, row in zip(classifiers, ranks.mean(axis=0))}
+    overall = dict(zip(samplers, ranks.mean(axis=(0, 1)).tolist()))
     return RankTable(samplers, overall, per_classifier)
 
 

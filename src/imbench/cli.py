@@ -37,16 +37,14 @@ def _parse_config_file(path: str) -> dict:
             if len(parts) != 3:
                 raise ConfigInvalidError(f"{where}: dataset needs 'name, path, label_column'")
             out["datasets"].append(tuple(parts))
-        elif key in ("samplers", "classifiers"):
-            out[key] = tuple(p.strip() for p in value.split(",") if p.strip())
+        elif key in ("samplers", "classifiers", "out_dir", "format"):
+            out[key] = value  # parsed with the flags of the same name in _run_settings
         elif key in ("runs", "seed", "gan_epochs", "test_fraction"):
             kind = float if key == "test_fraction" else int
             try:
                 out[key] = kind(value)
             except ValueError:
                 raise ConfigInvalidError(f"{where}: {key} must be {kind.__name__}, got {value!r}") from None
-        elif key in ("out_dir", "format"):
-            out[key] = value
         else:
             raise ConfigInvalidError(f"{where}: unknown key {key!r}")
     return out
@@ -54,8 +52,8 @@ def _parse_config_file(path: str) -> dict:
 
 def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
     """The experiment config, output directory and report format of ``bench run``."""
-    file_cfg = _parse_config_file(args.config) if args.config else {"datasets": []}
-    datasets = list(file_cfg["datasets"])
+    settings = _parse_config_file(args.config) if args.config else {"datasets": []}
+    datasets = settings.pop("datasets")
     if args.dataset:
         if not args.label_col:
             raise ConfigInvalidError("--dataset requires --label-col")
@@ -64,32 +62,28 @@ def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
     if not datasets:
         raise ConfigInvalidError("no datasets (use --dataset or a config file)")
 
-    flags = {
-        "samplers": tuple(args.samplers.split(",")) if args.samplers else None,
-        "classifiers": tuple(args.classifiers.split(",")) if args.classifiers else None,
-        "runs": args.runs,
-        "seed": args.seed,
-        "test_fraction": args.test_fraction,
-        "gan_epochs": args.gan_epochs,
-        "out_dir": args.out_dir or None,
-        "format": args.format,
-    }
     # flags override the file; a run setting neither sets keeps ExperimentConfig's default
-    chosen = {**file_cfg, **{k: v for k, v in flags.items() if v is not None}}
-    fmt = chosen.get("format", "csv")
+    for key in ("samplers", "classifiers", "runs", "seed", "test_fraction", "gan_epochs", "out_dir", "format"):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    for key in ("samplers", "classifiers"):
+        if key in settings:
+            settings[key] = tuple(p.strip() for p in settings[key].split(",") if p.strip())
+    if "seed" in settings:
+        settings["master_seed"] = settings.pop("seed")
+    if "gan_epochs" in settings:
+        settings["gan_config"] = TrainingConfig(epochs=settings.pop("gan_epochs"))
+    out_dir = settings.pop("out_dir", "bench-out")
+    fmt = settings.pop("format", "csv")
     if fmt not in ("csv", "markdown"):
         raise ConfigInvalidError(f"format must be csv or markdown, got {fmt!r}")
-    settings = {k: chosen[k] for k in ("samplers", "classifiers", "runs", "test_fraction") if k in chosen}
-    if "seed" in chosen:
-        settings["master_seed"] = chosen["seed"]
-    if "gan_epochs" in chosen:
-        settings["gan_config"] = TrainingConfig(epochs=chosen["gan_epochs"])
-    config = bench.ExperimentConfig(datasets=tuple(datasets), **settings)
-    return config, chosen.get("out_dir", "bench-out"), fmt
+    return bench.ExperimentConfig(datasets=tuple(datasets), **settings), out_dir, fmt
 
 
 def _check_out_dir(out_dir: str) -> None:
     """Raise OSError if ``out_dir`` cannot be made and written; makes nothing."""
+    if not out_dir:
+        raise OSError("output directory is empty")
     probe = os.path.abspath(out_dir)
     while not os.path.lexists(probe):
         probe = os.path.dirname(probe)

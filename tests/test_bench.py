@@ -134,6 +134,43 @@ class TestRunBenchmark:
         assert "sampler exploded" in report.failures[("toy", "smote", "logreg")]
         assert ("toy", "none", "logreg") in report.cells
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_match_run_cell_oracle(self, monkeypatch, workers):
+        # each cell's mean and std come from its own runs, whatever the schedule
+        loaded = {"a": synth_dataset(12, 36, 3, 0.3, seed=1), "b": synth_dataset(12, 36, 3, 0.1, seed=2)}
+        config = ExperimentConfig(
+            datasets=tuple((name, "", "") for name in loaded),
+            samplers=("none", "ros"),
+            classifiers=("logreg", "gbt"),
+            runs=3,
+            master_seed=11,
+        )
+        expected = {}
+        for name, ds in loaded.items():
+            for s in config.samplers:
+                for c in config.classifiers:
+                    runs = [run_cell(ds, s, c, stable_seed(11, name, s, c, r)) for r in range(3)]
+                    expected[(name, s, c)] = [(np.mean(m), np.std(m)) for m in zip(*runs)]
+
+        def got(report):
+            return {k: [(v.mean[m], v.std[m]) for m in ("recall", "precision", "f1")] for k, v in report.cells.items()}
+
+        report = run_benchmark(config, loaded=loaded, max_workers=workers)
+        assert got(report) == expected and report.failures == {}
+
+        bad_seed = stable_seed(11, "b", "ros", "logreg", 1)
+
+        def fail_one(dataset, sampler, classifier, run_seed, *args):
+            if run_seed == bad_seed:
+                raise RuntimeError("this run fails")
+            return run_cell(dataset, sampler, classifier, run_seed, *args)
+
+        monkeypatch.setattr(bench, "run_cell", fail_one)
+        report = run_benchmark(config, loaded=loaded, max_workers=workers)
+        assert report.failures == {("b", "ros", "logreg"): "RuntimeError: this run fails"}
+        del expected[("b", "ros", "logreg")]
+        assert got(report) == expected
+
     def test_grid_cardinality(self, tmp_path):
         config = small_config(
             tmp_path, trivially_separable(), samplers=("none", "ros", "smote"), classifiers=("logreg", "gbt"), runs=2
@@ -229,6 +266,34 @@ class TestMeanRank:
             table = {("d", "c", s): float(v) for s, v in zip(samplers, vals)}
             rank = mean_rank(table)
             assert sum(rank.overall.values()) == pytest.approx(n * (n + 1) / 2)
+
+    def test_matches_pure_python_ranks(self):
+        # rank of s in its (dataset, classifier) row: 1 + #greater + (#equal - 1) / 2,
+        # #equal counting s itself; means are plain sums over rows
+        import random
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            datasets = [f"d{i}" for i in range(rng.randint(1, 4))]
+            classifiers = [f"c{i}" for i in range(rng.randint(1, 4))]
+            samplers = [f"s{i}" for i in range(rng.randint(2, 7))]
+            levels = [rng.random() for _ in range(rng.randint(1, 3))]  # heavy ties
+            table = {(d, c, s): rng.choice(levels) for d in datasets for c in classifiers for s in samplers}
+            row_ranks = {}
+            for d in datasets:
+                for c in classifiers:
+                    row = [table[(d, c, s)] for s in samplers]
+                    for s, v in zip(samplers, row):
+                        greater = sum(w > v for w in row)
+                        equal = sum(w == v for w in row)
+                        row_ranks[(d, c, s)] = 1 + greater + (equal - 1) / 2
+            rank = mean_rank(table)
+            for s in samplers:
+                overall = sum(row_ranks[(d, c, s)] for d in datasets for c in classifiers)
+                assert rank.overall[s] == overall / (len(datasets) * len(classifiers))
+                for c in classifiers:
+                    per = sum(row_ranks[(d, c, s)] for d in datasets)
+                    assert rank.per_classifier[c][s] == per / len(datasets)
 
     def test_incomplete_table_rejected(self):
         table = {("d1", "c", "A"): 0.5, ("d1", "c", "B"): 0.4, ("d2", "c", "A"): 0.3}

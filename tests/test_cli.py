@@ -221,6 +221,28 @@ class TestRunCommand:
         assert err.startswith("error: ") and "is not a writable directory" in err and err.count("\n") == 1
         assert cells == []
 
+    @pytest.mark.parametrize(
+        "flags, cfg_line, message",
+        [
+            (["--samplers", ""], "", "error: need at least one sampler and one classifier\n"),
+            (["--classifiers", ""], "", "error: need at least one sampler and one classifier\n"),
+            (["--out-dir", ""], "", "error: output directory is empty\n"),
+            ([], "out_dir =\n", "error: output directory is empty\n"),
+        ],
+        ids=["samplers-flag", "classifiers-flag", "out-dir-flag", "out_dir-config"],
+    )
+    def test_empty_value_is_usage_error(self, tmp_path, capsys, monkeypatch, flags, cfg_line, message):
+        # an empty value is not an unset one: nothing falls back to a default
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = toy, {write_toy_csv(tmp_path)}, y\nsamplers = none\nclassifiers = logreg\n{cfg_line}")
+        out_dir = [] if cfg_line else ["--out-dir", str(tmp_path / "out")]
+        assert cli.main(["run", "--config", str(cfg), *out_dir, *flags]) == 2
+        assert capsys.readouterr().err == message
+        assert cells == [] and sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "toy.csv"]
+
     def test_missing_dataset_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = cli.main(
