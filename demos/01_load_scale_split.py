@@ -22,9 +22,9 @@ path = os.path.join(tempfile.gettempdir(), "demo_imbalanced.csv")
 save_csv(ds, path, label_column="label")
 print(f"wrote {path}")
 
-loaded, report = load_csv(path, "label")
+loaded, mapping = load_csv(path, "label")
 print(f"loaded {loaded.n_rows} rows x {loaded.n_features} features")
-print(f"label mapping (raw -> internal): {report.label_mapping}")
+print(f"label mapping (raw -> internal): {mapping}")
 
 stats = imbalance_stats(loaded)
 print(f"minority={stats.n_minority} majority={stats.n_majority} IR=1:{stats.ratio:.2f}")

@@ -134,8 +134,7 @@ def _train_gan_with_retry(kind: str, train: Dataset, config, seed: int):
     trainer = gan_mod.train_sdg_gan if kind == "sdg-gan" else gan_mod.train_cgan
     for attempt_seed in (seed, seed + 1):
         model = trainer(train, config, seed=attempt_seed)
-        hist = np.asarray(model.loss_history, dtype=np.float64)
-        if hist.size == 0 or np.all(np.isfinite(hist)):
+        if np.all(np.isfinite(model.loss_history)):
             return model
     raise GanDivergenceError(f"{kind}: non-finite losses for seeds {seed} and {seed + 1}")
 
@@ -167,7 +166,6 @@ def run_cell(
 ) -> tuple[float, float, float]:
     """One experiment cell: split, scale on train, balance train, fit,
     score the held-out split. Deterministic given run_seed."""
-    gan_config = gan_config or gan_mod.TrainingConfig()
     split = stratified_split(dataset, test_fraction, stable_seed(run_seed, "split"))
     scaler = minmax_fit(split.train)
     train_s = minmax_transform(scaler, split.train)
@@ -300,15 +298,16 @@ def synth_dataset(
 
 
 def write_ranks_csv(rank: RankTable, path: str | os.PathLike) -> None:
-    """ranks.csv: overall, then per-classifier mean ranks, repr-formatted."""
-    lines = ["classifier,sampler,mean_rank"]
-    for s in rank.samplers:
-        lines.append(f"overall,{s},{rank.overall[s]!r}")
-    for c in sorted(rank.per_classifier):
+    """ranks.csv: overall, then per-classifier mean ranks, repr-formatted;
+    quoted like metrics.csv."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["classifier", "sampler", "mean_rank"])
         for s in rank.samplers:
-            lines.append(f"{c},{s},{rank.per_classifier[c][s]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            writer.writerow(["overall", s, repr(rank.overall[s])])
+        for c in sorted(rank.per_classifier):
+            for s in rank.samplers:
+                writer.writerow([c, s, repr(rank.per_classifier[c][s])])
 
 
 def emit_report(

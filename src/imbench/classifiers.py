@@ -290,10 +290,10 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
 # gradient boosting with logistic loss
 
 
-def _gbt_tree(x, g, h, max_depth, lam, rows=None) -> _Node:
+def _gbt_tree(x, g, h, max_depth, lam, rows) -> _Node:
     """Regression tree on gradients g and Hessians h: leaf weight
     -G / (H + lam), split at the largest gain, which must exceed 1e-12.
-    rows is the presort of x, made when None."""
+    rows is the presort of x."""
     features = np.arange(x.shape[1])
 
     def leaf_value(idx):
@@ -303,28 +303,22 @@ def _gbt_tree(x, g, h, max_depth, lam, rows=None) -> _Node:
         cost = partial(_neg_gain_cost, g, h, g[idx].sum(), h[idx].sum(), lam)
         return _best_split(x, rows, features, cost, max_cost=-1e-12)
 
-    rows = _presort(_value_ranks(x)) if rows is None else rows
     return _grow_tree(x, rows, leaf_value, find_split, max_depth)
 
 
 class BoostedModel(TrainedClassifier):
-    def __init__(self, base_score, trees, learning_rate, n_features, train_loss_history):
+    def __init__(self, base_score, trees, learning_rate, n_features):
         super().__init__(n_features)
         self.base_score = base_score
         self.trees = trees
         self.learning_rate = learning_rate
-        # mean training logloss after 0, 1, ..., rounds trees
-        self.train_loss_history = train_loss_history
 
-    def decision_function(self, features):
+    def predict_proba(self, features):
         x = self._check(features)
         score = np.full(x.shape[0], self.base_score)
         for tree in self.trees:
             score += self.learning_rate * _tree_apply(tree, x)
-        return score
-
-    def predict_proba(self, features):
-        return nn.sigmoid(self.decision_function(features))
+        return nn.sigmoid(score)
 
 
 def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
@@ -338,17 +332,14 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     score = np.full(train.n_rows, base)
     rows = _presort(_value_ranks(x))
     trees: list[_Node] = []
-    history = []
     for _ in range(spec.rounds):
         p = nn.sigmoid(score)
-        history.append(float(nn.bce_loss(p, y)[0]))
         g = p - y
         h = p * (1.0 - p)
         tree = _gbt_tree(x, g, h, spec.max_depth, spec.l2, rows)
         trees.append(tree)
         score = score + spec.learning_rate * _tree_apply(tree, x)
-    history.append(float(nn.bce_loss(nn.sigmoid(score), y)[0]))
-    return BoostedModel(base, trees, spec.learning_rate, train.n_features, history)
+    return BoostedModel(base, trees, spec.learning_rate, train.n_features)
 
 
 # ---------------------------------------------------------------------------

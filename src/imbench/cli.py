@@ -94,11 +94,12 @@ def _check_out_dir(out_dir: str) -> None:
 def _cmd_run(args) -> int:
     # everything that can escape before the first cell runs is bad input: the flags,
     # the config file, the output directory, or a missing or malformed dataset file
+    # (a config or dataset file that is not UTF-8 raises UnicodeDecodeError)
     try:
         config, out_dir, fmt = _run_settings(args)
         _check_out_dir(out_dir)
         report = bench.run_benchmark(config, max_workers=args.workers)
-    except (ImbenchError, OSError) as exc:
+    except (ImbenchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rank = None

@@ -76,13 +76,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class LoadReport:
-    """Side-report from load_csv: how raw label values were mapped."""
-
-    label_mapping: dict  # raw string -> 0/1
-
-
-@dataclass(frozen=True)
 class ScalerParams:
     """Per-feature min/max learned from a fitting set."""
 
@@ -118,8 +111,9 @@ class TrainTestSplit:
     test: Dataset
 
 
-def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, LoadReport]:
-    """Read a UTF-8 CSV with a header row into a Dataset.
+def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[str, int]]:
+    """Read a UTF-8 CSV with a header row into a Dataset, and the mapping of
+    raw label values to 0/1.
 
     The label column must hold exactly two distinct values; the rarer one is
     mapped to 1 (ties broken by mapping the lexicographically smaller value
@@ -176,7 +170,7 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, LoadR
     mapping = {common: 0, rare: 1}
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ds = Dataset(np.array(rows, dtype=np.float64), labels, feature_names)
-    return ds, LoadReport(mapping)
+    return ds, mapping
 
 
 def save_csv(d: Dataset, path: str | os.PathLike, label_column: str = "label") -> None:

@@ -173,8 +173,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
 
             d_losses.append(0.5 * (loss_real + loss_fake))
             g_losses.append(g_loss)
-        if d_losses:
-            history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
+        history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
 
     return GANModel(gen, disc, config, history, objective)
 

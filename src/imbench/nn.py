@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import CacheMismatchError, DimensionMismatchError
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
-
 
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -29,29 +27,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # derivative w.r.t. pre-activation, using whichever of z/a is cheaper
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (f, df): df(z, a) is the derivative w.r.t. the pre-activation z,
+# from whichever of z and a = f(z) is cheaper
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(z.dtype)),
+    "sigmoid": (sigmoid, lambda z, a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
 
 
 @dataclass
@@ -162,7 +145,7 @@ def forward(
     for i, ly in enumerate(net.layers):
         inputs.append(x)
         z = x @ ly.weights + ly.bias
-        a = _activate(ly.activation, z)
+        a = ACTIVATIONS[ly.activation][0](z)
         pres.append(z)
         posts.append(a)
         mask = None
@@ -199,7 +182,7 @@ def backward(
         ly = net.layers[i]
         if cache.masks[i] is not None:
             delta = delta * cache.masks[i]
-        dz = delta * _activate_grad(ly.activation, cache.pre[i], cache.post[i])
+        dz = delta * ACTIVATIONS[ly.activation][1](cache.pre[i], cache.post[i])
         grads[2 * i] = cache.inputs[i].T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         delta = dz @ ly.weights.T

@@ -76,7 +76,7 @@ class SynthesisPlan:
 
 @dataclass(frozen=True)
 class AugmentedDataset:
-    """Original rows plus synthetic minority rows with provenance flags.
+    """Original rows followed by synthetic minority rows.
 
     synthesis_log holds one (source_row, neighbor_row) index pair per
     synthetic row, indices into the ORIGINAL dataset; for plain duplication
@@ -84,23 +84,17 @@ class AugmentedDataset:
     """
 
     data: Dataset
-    provenance: np.ndarray  # bool, True = synthetic
     sampler: str
     synthesis_log: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        flags = np.asarray(self.provenance, dtype=bool)
-        if flags.shape != (self.data.n_rows,):
-            raise DimensionMismatchError("provenance length must match row count")
-        if int(flags.sum()) != len(self.synthesis_log):
-            raise ValueError("one synthesis_log entry per synthetic row required")
-        flags = flags.copy()
-        flags.flags.writeable = False
-        object.__setattr__(self, "provenance", flags)
-
     @property
     def n_synthetic(self) -> int:
-        return int(self.provenance.sum())
+        return len(self.synthesis_log)
+
+    @property
+    def provenance(self) -> np.ndarray:
+        """Row flags, True for the last n_synthetic rows (the synthetic ones)."""
+        return np.arange(self.data.n_rows) >= self.data.n_rows - self.n_synthetic
 
 
 def _check_two_classes(train: Dataset) -> tuple[np.ndarray, int]:
@@ -117,11 +111,11 @@ def _check_two_classes(train: Dataset) -> tuple[np.ndarray, int]:
 def _assemble(
     train: Dataset, synth: np.ndarray, sampler: str, log: list[tuple[int, int]]
 ) -> AugmentedDataset:
+    if len(log) != synth.shape[0]:
+        raise ValueError("one synthesis_log entry per synthetic row required")
     feats = np.vstack([train.features, synth])
     labels = np.concatenate([train.labels, np.full(synth.shape[0], MINORITY, dtype=np.int64)])
-    flags = np.concatenate([np.zeros(train.n_rows, dtype=bool), np.ones(synth.shape[0], dtype=bool)])
-    data = Dataset(feats, labels, train.feature_names)
-    return AugmentedDataset(data, flags, sampler, tuple(log))
+    return AugmentedDataset(Dataset(feats, labels, train.feature_names), sampler, tuple(log))
 
 
 def _unchanged(train: Dataset, sampler: str) -> AugmentedDataset:

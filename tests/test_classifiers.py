@@ -14,6 +14,9 @@ from imbench.classifiers import (
     train_mlp_classifier,
     train_random_forest,
     _gbt_tree,
+    _presort,
+    _tree_apply,
+    _value_ranks,
 )
 from imbench.data import Dataset
 from imbench.errors import DimensionMismatchError, SingleClassError
@@ -125,8 +128,13 @@ class TestGBT:
         labels[0], labels[1] = 0, 1
         ds = make(feats, labels)
         model = train_gbt(ds, GBTSpec(rounds=60, learning_rate=0.1))
-        hist = np.asarray(model.train_loss_history)
-        assert hist.shape[0] == 61
+        # mean training logloss after 0, 1, ..., 60 trees, rebuilt from the model
+        score = np.full(ds.n_rows, model.base_score)
+        hist = [nn.bce_loss(nn.sigmoid(score), ds.labels)[0]]
+        for tree in model.trees:
+            score = score + model.learning_rate * _tree_apply(tree, ds.features)
+            hist.append(nn.bce_loss(nn.sigmoid(score), ds.labels)[0])
+        assert len(hist) == 61
         assert np.all(np.diff(hist) <= 1e-12)
 
     def test_depth_limit_respected(self):
@@ -172,7 +180,7 @@ class TestTreeRules:
     def test_zero_gradient_gbt_node_stays_a_leaf(self):
         # every cut has gain 0, which does not pass the 1e-12 floor
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
-        root = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), max_depth=3, lam=1.0)
+        root = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), 3, 1.0, _presort(_value_ranks(x)))
         assert root.left is None and root.value == 0.0
 
     @staticmethod

@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,25 @@ class TestRunCommand:
         assert err.startswith("error: ") and "is not a writable directory" in err and err.count("\n") == 1
         assert cells == []
 
+    @pytest.mark.parametrize("which", ["config", "dataset"])
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys, monkeypatch, which):
+        # a 0xff byte cannot start a UTF-8 sequence
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+        csv_path = write_toy_csv(tmp_path)
+        bad = tmp_path / "bad.bin"
+        if which == "config":
+            bad.write_bytes(f"dataset = toy, {csv_path}, y\n# caf\xff\n".encode("latin-1"))
+            args = ["--config", str(bad)]
+        else:
+            bad.write_bytes(Path(csv_path).read_bytes() + b"0.5,0.5,\xff\n")
+            args = ["--dataset", str(bad), "--label-col", "y"]
+        code = cli.main(["run", *args, "--samplers", "none", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert cells == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "flags, cfg_line, message",
         [
@@ -301,6 +323,21 @@ class TestRankCommand:
         out = tmp_path / "ranks.csv"
         assert cli.main(["rank", "--f1-table", str(table), "--out", str(out)]) == 0
         assert out.read_bytes() == (out_dir / "ranks.csv").read_bytes()
+
+    def test_names_are_quoted(self, tmp_path):
+        table = tmp_path / "f1.csv"
+        table.write_text('dataset,classifier,sampler,f1\nd,"rf, deep",A,0.9\nd,"rf, deep","B ""x""",0.5\n')
+        out = tmp_path / "ranks.csv"
+        assert cli.main(["rank", "--f1-table", str(table), "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            ["classifier", "sampler", "mean_rank"],
+            ["overall", "A", "1.0"],
+            ["overall", 'B "x"', "2.0"],
+            ["rf, deep", "A", "1.0"],
+            ["rf, deep", 'B "x"', "2.0"],
+        ]
 
     def test_incomplete_table_is_usage_error(self, tmp_path, capsys):
         table = tmp_path / "f1.csv"

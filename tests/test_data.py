@@ -44,16 +44,16 @@ class TestLoadCsv:
         # the rarer value sorts last ("yes") and first ("a")
         for rare, common in (("yes", "no"), ("a", "b")):
             text = f"a,b,y\n1,2,{rare}\n3,4,{common}\n5,6,{common}\n"
-            ds, report = load_csv(write_csv(tmp_path / "t.csv", text), "y")
+            ds, mapping = load_csv(write_csv(tmp_path / "t.csv", text), "y")
             assert ds.n_rows == 3 and ds.n_features == 2
-            assert report.label_mapping == {common: 0, rare: 1}
+            assert mapping == {common: 0, rare: 1}
             assert ds.labels.tolist() == [1, 0, 0]
             assert ds.feature_names == ("a", "b")
 
     def test_label_tie_breaks_to_lexicographic(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "a,y\n1,1\n2,0\n3,1\n4,0\n")
-        _, report = load_csv(path, "y")
-        assert report.label_mapping == {"0": 0, "1": 1}
+        _, mapping = load_csv(path, "y")
+        assert mapping == {"0": 0, "1": 1}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -60,6 +60,10 @@ class TestInitNetwork:
         with pytest.raises(DimensionMismatchError):
             nn.init_network([(2, 3), (4, 1)], ["relu", "sigmoid"], seed=0)
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'softplus'"):
+            nn.init_network([(2, 3), (3, 1)], ["relu", "softplus"], seed=0)
+
 
 def hand_net():
     """2-2-1 net with pinned weights for hand-checked passes."""

@@ -357,6 +357,14 @@ class TestSamplerInvariants:
         assert sum("falling back" in t for t in texts) == fallbacks, texts
 
 
+class TestAssemble:
+    @pytest.mark.parametrize("n_log", [1, 3])
+    def test_log_length_must_match_synthetic_rows(self, make_dataset, n_log):
+        ds = make_dataset(*DIAGONAL_PAIR)
+        with pytest.raises(ValueError, match="one synthesis_log entry per synthetic row"):
+            ovs._assemble(ds, np.zeros((2, ds.n_features)), "smote", [(0, 1)] * n_log)
+
+
 class TestSynthesisPlan:
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
