@@ -9,11 +9,13 @@ from imbench.bench import synth_dataset
 train = synth_dataset(n_minority=25, n_majority=100, n_features=2, separation=0.25, seed=3)
 print(f"train: {train.n_rows} rows, IR 1:{imbalance_stats(train).ratio:.2f}\n")
 
-for sampler in (random_oversample, smote, borderline_smote, adasyn):
+for name, sampler in (
+    ("ros", random_oversample), ("smote", smote), ("b-smote", borderline_smote), ("adasyn", adasyn)
+):
     aug = sampler(train, seed=11)
     stats = imbalance_stats(aug.data)
     synth = aug.data.features[aug.provenance]
-    print(f"{aug.sampler:8s} added {aug.n_synthetic:3d} rows -> IR 1:{stats.ratio:.2f}", end="")
+    print(f"{name:8s} added {aug.n_synthetic:3d} rows -> IR 1:{stats.ratio:.2f}", end="")
     if aug.n_synthetic:
         print(f"  synth mean=({synth[:, 0].mean():.3f}, {synth[:, 1].mean():.3f})", end="")
     print()
@@ -32,4 +34,4 @@ print(f"\nsmote synthetic points on their source-neighbor segment: {on_segment}/
 # ADASYN concentrates synthesis where majority neighbors crowd a minority row
 plan = adasyn_plan(train, k=5)
 order = np.argsort(plan.counts)[::-1]
-print(f"adasyn plan: total={plan.total}, busiest rows get {plan.counts[order[:5]].tolist()}")
+print(f"adasyn plan: total={plan.counts.sum()}, busiest rows get {plan.counts[order[:5]].tolist()}")

@@ -32,7 +32,7 @@ print(f"cells: {len(report.cells)}, failures: {len(report.failures)}")
 
 rank = mean_rank(report_to_f1_table(report))
 print("\nmean rank by F1 (lower is better):")
-for sampler in sorted(rank.samplers, key=lambda s: rank.overall[s]):
+for sampler in sorted(rank.overall, key=rank.overall.get):
     per_clf = "  ".join(f"{c}={rank.per_classifier[c][sampler]:.2f}" for c in sorted(rank.per_classifier))
     print(f"  {sampler:8s} overall={rank.overall[sampler]:.2f}  {per_clf}")
 

@@ -111,8 +111,7 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class RankTable:
-    samplers: tuple[str, ...]
-    overall: dict[str, float]  # sampler -> mean rank over all cells
+    overall: dict[str, float]  # sampler -> mean rank over all cells, in sampler-name order
     per_classifier: dict[str, dict[str, float]]  # classifier -> sampler -> mean rank
 
 
@@ -271,7 +270,7 @@ def mean_rank(f1_table: dict[tuple[str, str, str], float]) -> RankTable:
     ranks = greater + (equal + 1) / 2
     per_classifier = {c: dict(zip(samplers, row.tolist())) for c, row in zip(classifiers, ranks.mean(axis=0))}
     overall = dict(zip(samplers, ranks.mean(axis=(0, 1)).tolist()))
-    return RankTable(samplers, overall, per_classifier)
+    return RankTable(overall, per_classifier)
 
 
 def report_to_f1_table(report: MetricsReport) -> dict[tuple[str, str, str], float]:
@@ -303,10 +302,10 @@ def write_ranks_csv(rank: RankTable, path: str | os.PathLike) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["classifier", "sampler", "mean_rank"])
-        for s in rank.samplers:
-            writer.writerow(["overall", s, repr(rank.overall[s])])
+        for s, r in rank.overall.items():
+            writer.writerow(["overall", s, repr(r)])
         for c in sorted(rank.per_classifier):
-            for s in rank.samplers:
+            for s in rank.overall:
                 writer.writerow([c, s, repr(rank.per_classifier[c][s])])
 
 
@@ -362,7 +361,7 @@ def emit_report(
             classifiers = sorted(rank.per_classifier)
             lines.append("| Method | Overall | " + " | ".join(classifiers) + " |")
             lines.append("|---|---|" + "---|" * len(classifiers))
-            for s in sorted(rank.samplers, key=lambda s: rank.overall[s]):
+            for s in sorted(rank.overall, key=rank.overall.get):
                 cols = " | ".join(f"{rank.per_classifier[c][s]:.2f}" for c in classifiers)
                 lines.append(f"| {s} | {rank.overall[s]:.2f} | {cols} |")
             lines.append("")

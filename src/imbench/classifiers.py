@@ -15,12 +15,12 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .data import Dataset
+from .data import Dataset, imbalance_stats
 from .errors import DimensionMismatchError, SingleClassError
 
 
 def _require_both_classes(train: Dataset) -> None:
-    if np.unique(train.labels).size < 2:
+    if imbalance_stats(train).single_class:
         raise SingleClassError("classifier training needs both classes present")
 
 
@@ -353,7 +353,7 @@ class MLPModel(TrainedClassifier):
 
     def predict_proba(self, features):
         x = self._check(features)
-        out, _ = nn.forward(self.net, x, training=False)
+        out, _ = nn.forward(self.net, x)
         return out[:, 0]
 
 
@@ -372,10 +372,10 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
         perm = rng.permutation(train.n_rows)
         for start in range(0, train.n_rows, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
-            out, cache = nn.forward(net, x[idx], training=True, seed=rng)
+            out, cache = nn.forward(net, x[idx], rng)
             _, grad = nn.bce_loss(out[:, 0], y[idx])
             grads, _ = nn.backward(net, cache, grad.reshape(-1, 1))
-            nn.adam_step(opt, net.parameters(), grads)
+            nn.adam_step(opt, grads)
     return MLPModel(net)
 
 

@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
 from pathlib import Path
 
 from . import bench
-from .data import save_csv
+from .data import read_utf8, save_csv
 from .errors import ConfigInvalidError, ImbenchError
 from .gan import TrainingConfig
 
 
 def _parse_config_file(path: str) -> dict:
     out: dict = {"datasets": []}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), 1):
         where = f"{path}:{line_no}"
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,18 +131,17 @@ def _cmd_rank(args) -> int:
     required = {"dataset", "classifier", "sampler", "f1"}
     table: dict[tuple[str, str, str], float] = {}
     try:
-        with open(args.f1_table, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ValueError(f"rank input needs columns {sorted(required)}")
-            for row in reader:
-                key = (row["dataset"], row["classifier"], row["sampler"])
-                f1 = float(row["f1"])
-                if not math.isfinite(f1):
-                    raise ValueError(f"non-finite F1 {row['f1']!r} for {key}")
-                if key in table:
-                    raise ValueError(f"more than one F1 for {key}")
-                table[key] = f1
+        reader = csv.DictReader(io.StringIO(read_utf8(args.f1_table), newline=None))
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValueError(f"rank input needs columns {sorted(required)}")
+        for row in reader:
+            key = (row["dataset"], row["classifier"], row["sampler"])
+            f1 = float(row["f1"])
+            if not math.isfinite(f1):
+                raise ValueError(f"non-finite F1 {row['f1']!r} for {key}")
+            if key in table:
+                raise ValueError(f"more than one F1 for {key}")
+            table[key] = f1
         bench.write_ranks_csv(bench.mean_rank(table), args.out)
     except (ValueError, OSError) as exc:  # IncompleteTableError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

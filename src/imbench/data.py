@@ -9,9 +9,11 @@ raw label values so this holds.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -121,40 +123,39 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise MissingColumnError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDatasetError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise MissingColumnError(f"label column {label_column!r} not in header {header}")
+    label_idx = header.index(label_column)
+    feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec or all(cell.strip() == "" for cell in rec):
+    rows: list[list[float]] = []
+    raw_labels: list[str] = []
+    for line_no, rec in enumerate(reader, start=2):
+        if not rec or all(cell.strip() == "" for cell in rec):
+            continue
+        if len(rec) != len(header):
+            raise DimensionMismatchError(
+                f"line {line_no}: expected {len(header)} cells, got {len(rec)}"
+            )
+        vals = []
+        for j, cell in enumerate(rec):
+            if j == label_idx:
                 continue
-            if len(rec) != len(header):
-                raise DimensionMismatchError(
-                    f"line {line_no}: expected {len(header)} cells, got {len(rec)}"
-                )
-            vals = []
-            for j, cell in enumerate(rec):
-                if j == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise NonNumericCellError(line_no, header[j], cell) from None
-                if not math.isfinite(v):
-                    raise NonNumericCellError(line_no, header[j], cell)
-                vals.append(v)
-            rows.append(vals)
-            raw_labels.append(rec[label_idx].strip())
+            try:
+                v = float(cell)
+            except ValueError:
+                raise NonNumericCellError(line_no, header[j], cell) from None
+            if not math.isfinite(v):
+                raise NonNumericCellError(line_no, header[j], cell)
+            vals.append(v)
+        rows.append(vals)
+        raw_labels.append(rec[label_idx].strip())
 
     if not rows:
         raise EmptyDatasetError(f"{path}: header only, no data rows")
@@ -171,6 +172,15 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ds = Dataset(np.array(rows, dtype=np.float64), labels, feature_names)
     return ds, mapping
+
+
+def read_utf8(path: str | os.PathLike) -> str:
+    """A UTF-8 file's text; a byte that does not decode raises UnicodeDecodeError naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in file {path}"
+        raise
 
 
 def save_csv(d: Dataset, path: str | os.PathLike, label_column: str = "label") -> None:
@@ -228,13 +238,12 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSp
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-    classes = np.unique(d.labels)
-    if classes.size < 2:
+    if imbalance_stats(d).single_class:
         raise SingleClassError("stratified split needs both classes present")
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
-    for c in classes:
+    for c in (0, 1):
         idx = np.flatnonzero(d.labels == c)
         if idx.size < 2:
             raise TooFewRowsError(f"class {c} has {idx.size} rows; need at least 2")

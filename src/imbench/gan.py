@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .data import Dataset
+from .data import Dataset, imbalance_stats
 from .errors import ConfigInvalidError, DimensionMismatchError, SingleClassError
 from .oversamplers import MINORITY, AugmentedDataset, _assemble, _check_two_classes, _unchanged
 
@@ -54,7 +54,6 @@ class GANModel:
     config: TrainingConfig
     # one (d_loss, g_loss) pair per epoch
     loss_history: list[tuple[float, float]] = field(default_factory=list)
-    objective: str = "sdg-gan"
 
     @property
     def n_features(self) -> int:
@@ -85,8 +84,8 @@ def feature_matching_loss(
     if not 0 <= feature_layer_index < len(disc.layers):
         raise IndexError(f"feature_layer_index {feature_layer_index} out of range")
     prefix = nn.MLPNetwork(disc.layers[: feature_layer_index + 1])
-    real_feat, _ = nn.forward(prefix, real, training=False)
-    fake_out, fake_cache = nn.forward(prefix, fake, training=False)
+    real_feat, _ = nn.forward(prefix, real)
+    fake_out, fake_cache = nn.forward(prefix, fake)
     diff = real_feat.mean(axis=0) - fake_out.mean(axis=0)
     loss = float(np.dot(diff, diff))
     # d loss / d fake_features: each fake row contributes 1/B to the mean
@@ -113,8 +112,7 @@ def _conditioned(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) -> GANModel:
     config.validate()
-    classes = np.unique(train.labels)
-    if classes.size < 2:
+    if imbalance_stats(train).single_class:
         raise SingleClassError("GAN training needs both classes present")
     x = train.features
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
@@ -143,39 +141,39 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
             real_in = _conditioned(real_x, y)
 
             # discriminator on real rows, target 1
-            d_out, d_cache = nn.forward(disc, real_in, training=True, seed=rng)
+            d_out, d_cache = nn.forward(disc, real_in, rng)
             loss_real, d_grad = nn.bce_loss(d_out[:, 0], np.ones(b))
             grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            nn.adam_step(disc_opt, disc.parameters(), grads)
+            nn.adam_step(disc_opt, grads)
 
             # discriminator on generated rows (same label mix), target 0
             z = rng.standard_normal((b, config.noise_dim))
-            fake_x, _ = nn.forward(gen, _conditioned(z, y), training=False)
+            fake_x, _ = nn.forward(gen, _conditioned(z, y))
             fake_in = _conditioned(fake_x, y)
-            d_out, d_cache = nn.forward(disc, fake_in, training=True, seed=rng)
+            d_out, d_cache = nn.forward(disc, fake_in, rng)
             loss_fake, d_grad = nn.bce_loss(d_out[:, 0], np.zeros(b))
             grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            nn.adam_step(disc_opt, disc.parameters(), grads)
+            nn.adam_step(disc_opt, grads)
 
             # generator step: fresh noise, labels matching the real batch
             z2 = rng.standard_normal((b, config.noise_dim))
-            fake2, g_cache = nn.forward(gen, _conditioned(z2, y), training=True, seed=rng)
+            fake2, g_cache = nn.forward(gen, _conditioned(z2, y), rng)
             fake2_in = _conditioned(fake2, y)
             if objective == "sdg-gan":
                 g_loss, fake_in_grad = feature_matching_loss(disc, real_in, fake2_in, feat_idx)
             else:
-                d_out, d_cache = nn.forward(disc, fake2_in, training=False)
+                d_out, d_cache = nn.forward(disc, fake2_in)
                 g_loss, d_grad = nn.bce_loss(d_out[:, 0], np.ones(b))
                 _, fake_in_grad = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
             fake_grad = fake_in_grad[:, : train.n_features]  # label column is not learned
             grads, _ = nn.backward(gen, g_cache, fake_grad)
-            nn.adam_step(gen_opt, gen.parameters(), grads)
+            nn.adam_step(gen_opt, grads)
 
             d_losses.append(0.5 * (loss_real + loss_fake))
             g_losses.append(g_loss)
         history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
 
-    return GANModel(gen, disc, config, history, objective)
+    return GANModel(gen, disc, config, history)
 
 
 def train_sdg_gan(train: Dataset, config: TrainingConfig | None = None, seed: int = 0) -> GANModel:
@@ -195,7 +193,7 @@ def generate_minority(model: GANModel, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.noise_dim))
     cond = np.full(n, float(MINORITY))
-    out, _ = nn.forward(model.generator, _conditioned(z, cond), training=False)
+    out, _ = nn.forward(model.generator, _conditioned(z, cond))
     return (out + 1.0) / 2.0
 
 
@@ -207,8 +205,8 @@ def oversample_to_balance(model: GANModel, train: Dataset, seed: int = 0) -> Aug
         )
     _, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, model.objective)
+        return _unchanged(train)
     synth = generate_minority(model, gap, seed)
     log = [(-1, -1)] * gap  # generated rows have no source/neighbor pair
-    return _assemble(train, synth, model.objective, log)
+    return _assemble(train, synth, log)
 

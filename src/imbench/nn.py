@@ -16,12 +16,6 @@ import numpy as np
 from .errors import CacheMismatchError, DimensionMismatchError
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function; z is clipped to [-500, 500] so exp cannot overflow."""
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
@@ -48,7 +42,7 @@ class MLPNetwork:
     """Ordered stack of affine+activation layers with a shared dropout rate.
 
     Dropout applies to hidden-layer outputs only (never the last layer) and
-    only when a forward pass runs with training=True.
+    only in a forward pass given an rng (a training pass).
     """
 
     def __init__(self, layers: list[Layer], dropout_rate: float = 0.0):
@@ -103,7 +97,7 @@ def init_network(layer_dims, activations, dropout_rate: float = 0.0, seed=0) -> 
         raise DimensionMismatchError(
             f"{len(activations)} activations for {len(dims)} layers"
         )
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is used as it is
     layers = []
     for (fan_in, fan_out), act in zip(dims, activations):
         if fan_in < 1 or fan_out < 1:
@@ -126,21 +120,20 @@ class ForwardCache:
     masks: list[np.ndarray | None]
 
 
-def forward(
-    net: MLPNetwork, batch: np.ndarray, training: bool = False, seed=None
-) -> tuple[np.ndarray, ForwardCache]:
+def forward(net: MLPNetwork, batch: np.ndarray, rng=None) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch; returns (output, cache).
 
-    With training=True, inverted dropout (mask / (1 - rate)) is applied to
-    every hidden layer's output, drawn from ``seed``. Inference is
-    dropout-free and seed-independent.
+    Given ``rng`` (a seed or a Generator), this is a training pass: inverted
+    dropout (mask / (1 - rate)) is applied to every hidden layer's output,
+    drawn from ``rng``. Without one it is an inference pass, dropout-free.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"batch shape {x.shape} incompatible with input dim {net.input_dim}"
         )
-    rng = _as_rng(seed) if training else None
+    if rng is not None:
+        rng = np.random.default_rng(rng)
     inputs, pres, posts, masks = [], [], [], []
     for i, ly in enumerate(net.layers):
         inputs.append(x)
@@ -150,7 +143,7 @@ def forward(
         posts.append(a)
         mask = None
         is_hidden = i < len(net.layers) - 1
-        if training and is_hidden and net.dropout_rate > 0.0:
+        if rng is not None and is_hidden and net.dropout_rate > 0.0:
             keep = 1.0 - net.dropout_rate
             mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
             a = a * mask
@@ -196,27 +189,29 @@ ADAM_EPSILON = 1e-8
 
 
 class AdamState:
-    """Per-parameter Adam moments plus the step counter."""
+    """The live arrays ``adam_step`` updates in place, their moments and the step counter."""
 
     def __init__(self, params, learning_rate=1e-4):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.params = list(params)
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
         self.learning_rate = float(learning_rate)
 
 
-def adam_step(state: AdamState, params, grads) -> None:
-    """One bias-corrected Adam update of ``params``, ``state.m`` and
-    ``state.v`` in place."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise DimensionMismatchError("params/grads length does not match Adam state")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape or p.shape != state.m[i].shape:
+def adam_step(state: AdamState, grads) -> None:
+    """One bias-corrected Adam update of ``state.params``, ``state.m`` and
+    ``state.v`` in place; ``grads`` match ``state.params`` one to one.
+    Input that does not match is rejected before anything changes."""
+    if len(grads) != len(state.params):
+        raise DimensionMismatchError("grads length does not match Adam state")
+    for i, (p, g) in enumerate(zip(state.params, grads)):
+        if p.shape != g.shape:
             raise DimensionMismatchError(f"shape mismatch at parameter {i}")
     state.t += 1
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v in zip(state.params, grads, state.m, state.v):
         # the same operations, in the same order, as m = b1*m + (1-b1)*g etc.
         m *= b1
         m += (1.0 - b1) * g

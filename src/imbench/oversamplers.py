@@ -61,15 +61,14 @@ class KNNIndex:
 
 @dataclass(frozen=True)
 class SynthesisPlan:
-    """Per-minority-row synthetic counts; sums exactly to the total."""
+    """Per-minority-row synthetic counts; the total is ``counts.sum()``."""
 
     counts: np.ndarray  # aligned with minority rows in dataset order
-    total: int
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0) or int(c.sum()) != self.total:
-            raise ValueError("plan counts must be non-negative and sum to the total")
+        if np.any(c < 0):
+            raise ValueError("plan counts must be non-negative")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
@@ -84,7 +83,6 @@ class AugmentedDataset:
     """
 
     data: Dataset
-    sampler: str
     synthesis_log: tuple[tuple[int, int], ...]
 
     @property
@@ -108,18 +106,16 @@ def _check_two_classes(train: Dataset) -> tuple[np.ndarray, int]:
     return minority_idx, n_majority - minority_idx.size
 
 
-def _assemble(
-    train: Dataset, synth: np.ndarray, sampler: str, log: list[tuple[int, int]]
-) -> AugmentedDataset:
+def _assemble(train: Dataset, synth: np.ndarray, log: list[tuple[int, int]]) -> AugmentedDataset:
     if len(log) != synth.shape[0]:
         raise ValueError("one synthesis_log entry per synthetic row required")
     feats = np.vstack([train.features, synth])
     labels = np.concatenate([train.labels, np.full(synth.shape[0], MINORITY, dtype=np.int64)])
-    return AugmentedDataset(Dataset(feats, labels, train.feature_names), sampler, tuple(log))
+    return AugmentedDataset(Dataset(feats, labels, train.feature_names), tuple(log))
 
 
-def _unchanged(train: Dataset, sampler: str) -> AugmentedDataset:
-    return _assemble(train, np.empty((0, train.n_features)), sampler, [])
+def _unchanged(train: Dataset) -> AugmentedDataset:
+    return _assemble(train, np.empty((0, train.n_features)), [])
 
 
 def random_oversample(train: Dataset, seed: int = 0) -> AugmentedDataset:
@@ -129,7 +125,7 @@ def random_oversample(train: Dataset, seed: int = 0) -> AugmentedDataset:
     picks = minority_idx[rng.integers(0, minority_idx.size, size=gap)]
     synth = train.features[picks].copy()
     log = [(int(i), int(i)) for i in picks]
-    return _assemble(train, synth, "ros", log)
+    return _assemble(train, synth, log)
 
 
 def _effective_k(k: int, n_minority: int, sampler: str) -> int:
@@ -189,14 +185,14 @@ def _interpolate(
 
 
 def _smote(
-    train: Dataset, minority_idx: np.ndarray, sources: np.ndarray, gap: int, k: int, seed: int, sampler: str
+    train: Dataset, minority_idx: np.ndarray, sources: np.ndarray, gap: int, k: int, seed: int
 ) -> AugmentedDataset:
     """SMOTE from sources, which a seeded shuffle cycles through (counts
     within 1 of each other); k is already checked."""
     rng = np.random.default_rng(seed)
     schedule = np.resize(rng.permutation(sources), gap)
     synth, log = _interpolate(train, minority_idx, schedule, k, rng)
-    return _assemble(train, synth, sampler, log)
+    return _assemble(train, synth, log)
 
 
 def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
@@ -208,9 +204,9 @@ def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
     """
     minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, "smote")
+        return _unchanged(train)
     k = _effective_k(k, minority_idx.size, "smote")
-    return _smote(train, minority_idx, minority_idx, gap, k, seed, "smote")
+    return _smote(train, minority_idx, minority_idx, gap, k, seed)
 
 
 def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> AugmentedDataset:
@@ -223,7 +219,7 @@ def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> A
     """
     minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, "b-smote")
+        return _unchanged(train)
     k = _effective_k(k, minority_idx.size, "b-smote")
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -232,7 +228,7 @@ def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> A
     if danger.size == 0:
         warnings.warn("b-smote: DANGER set empty, falling back to plain SMOTE")
         danger = minority_idx
-    return _smote(train, minority_idx, danger, gap, k, seed, "b-smote")
+    return _smote(train, minority_idx, danger, gap, k, seed)
 
 
 def _adasyn_counts(train: Dataset, minority_idx: np.ndarray, total: int, k: int) -> np.ndarray | None:
@@ -264,19 +260,19 @@ def adasyn_plan(train: Dataset, k: int = 5) -> SynthesisPlan:
     counts = _adasyn_counts(train, minority_idx, gap, _effective_k(k, minority_idx.size, "adasyn"))
     if counts is None:
         raise ValueError("all-zero density: no minority row has majority neighbors")
-    return SynthesisPlan(counts, gap)
+    return SynthesisPlan(counts)
 
 
 def adasyn(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
     """ADASYN: per-row synthesis counts proportional to local majority density."""
     minority_idx, gap = _check_two_classes(train)
     if gap == 0:
-        return _unchanged(train, "adasyn")
+        return _unchanged(train)
     k = _effective_k(k, minority_idx.size, "adasyn")
     counts = _adasyn_counts(train, minority_idx, gap, k)
     if counts is None:
         warnings.warn("adasyn: all-zero density, falling back to plain SMOTE")
-        return _smote(train, minority_idx, minority_idx, gap, k, seed, "adasyn")
+        return _smote(train, minority_idx, minority_idx, gap, k, seed)
     rng = np.random.default_rng(seed)
     synth, log = _interpolate(train, minority_idx, np.repeat(minority_idx, counts), k, rng)
-    return _assemble(train, synth, "adasyn", log)
+    return _assemble(train, synth, log)

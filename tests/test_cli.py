@@ -224,23 +224,28 @@ class TestRunCommand:
         assert err.startswith("error: ") and "is not a writable directory" in err and err.count("\n") == 1
         assert cells == []
 
-    @pytest.mark.parametrize("which", ["config", "dataset"])
+    @pytest.mark.parametrize("which", ["config", "dataset", "rank"])
     def test_non_utf8_input_is_usage_error(self, tmp_path, capsys, monkeypatch, which):
-        # a 0xff byte cannot start a UTF-8 sequence
+        # a 0xff byte cannot start a UTF-8 sequence; the one error line names the file
         cells = []
         monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
         csv_path = write_toy_csv(tmp_path)
         bad = tmp_path / "bad.bin"
+        out = str(tmp_path / "out")
         if which == "config":
             bad.write_bytes(f"dataset = toy, {csv_path}, y\n# caf\xff\n".encode("latin-1"))
-            args = ["--config", str(bad)]
-        else:
+            argv = ["run", "--config", str(bad), "--samplers", "none", "--out-dir", out]
+        elif which == "dataset":
             bad.write_bytes(Path(csv_path).read_bytes() + b"0.5,0.5,\xff\n")
-            args = ["--dataset", str(bad), "--label-col", "y"]
-        code = cli.main(["run", *args, "--samplers", "none", "--out-dir", str(tmp_path / "out")])
+            argv = ["run", "--dataset", str(bad), "--label-col", "y", "--samplers", "none", "--out-dir", out]
+        else:
+            bad.write_bytes(b"dataset,classifier,sampler,f1\nd1,c1,A,0.9\nd1,c1,caf\xff,0.5\n")
+            argv = ["rank", "--f1-table", str(bad), "--out", out]
+        code = cli.main(argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "can't decode byte 0xff" in err and err.count("\n") == 1
+        assert str(bad) in err
         assert cells == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

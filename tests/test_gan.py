@@ -116,7 +116,7 @@ class TestFeatureMatchingLoss:
         real, fake = rng.random((5, 3)), rng.random((4, 3))
         before = feature_matching_loss(disc, real, fake, 1)[0]
         opt = nn.AdamState(disc.parameters(), learning_rate=0.1)
-        nn.adam_step(opt, disc.parameters(), [rng.standard_normal(p.shape) for p in disc.parameters()])
+        nn.adam_step(opt, [rng.standard_normal(p.shape) for p in disc.parameters()])
         updated = copy.deepcopy(disc)
         after = feature_matching_loss(disc, real, fake, 1)[0]
         assert after != before

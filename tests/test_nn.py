@@ -8,8 +8,8 @@ from imbench import nn
 from imbench.errors import CacheMismatchError, DimensionMismatchError
 
 
-def finite_difference_grads(net, batch, target, h=1e-5, training=False, seed=None):
-    """Central differences of L = 0.5 * sum((forward(net, batch) - target)^2)
+def finite_difference_grads(net, batch, target, h=1e-5, rng=None):
+    """Central differences of L = 0.5 * sum((forward(net, batch, rng) - target)^2)
     w.r.t. every parameter entry. Independent of backward()."""
     grads = []
     for p in net.parameters():
@@ -19,10 +19,10 @@ def finite_difference_grads(net, batch, target, h=1e-5, training=False, seed=Non
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            out_p, _ = nn.forward(net, batch, training=training, seed=seed)
+            out_p, _ = nn.forward(net, batch, rng)
             loss_p = 0.5 * np.sum((out_p - target) ** 2)
             flat[i] = orig - h
-            out_m, _ = nn.forward(net, batch, training=training, seed=seed)
+            out_m, _ = nn.forward(net, batch, rng)
             loss_m = 0.5 * np.sum((out_m - target) ** 2)
             flat[i] = orig
             gflat[i] = (loss_p - loss_m) / (2 * h)
@@ -112,18 +112,19 @@ class TestForward:
             out, _ = nn.forward(net, np.zeros((rows, 2)))
             assert out.shape[0] == rows
 
-    def test_inference_is_seed_independent(self):
+    def test_no_rng_applies_no_dropout(self):
         net = nn.init_network([(3, 8), (8, 1)], ["relu", "sigmoid"], dropout_rate=0.5, seed=0)
         x = np.random.default_rng(1).random((4, 3))
-        a, _ = nn.forward(net, x, training=False, seed=1)
-        b, _ = nn.forward(net, x, training=False, seed=999)
-        assert np.array_equal(a, b)
+        out, cache = nn.forward(net, x)
+        assert cache.masks == [None, None]
+        assert np.array_equal(out, nn.forward(nn.MLPNetwork(net.layers), x)[0])
+        assert not np.array_equal(out, nn.forward(net, x, 1)[0])
 
     def test_training_dropout_deterministic_given_seed(self):
         net = nn.init_network([(3, 16), (16, 1)], ["relu", "sigmoid"], dropout_rate=0.4, seed=0)
         x = np.random.default_rng(1).random((6, 3))
-        a, _ = nn.forward(net, x, training=True, seed=7)
-        b, _ = nn.forward(net, x, training=True, seed=7)
+        a, _ = nn.forward(net, x, 7)
+        b, _ = nn.forward(net, x, 7)
         assert np.array_equal(a, b)
 
     def test_inverted_dropout_preserves_expectation(self):
@@ -131,7 +132,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         means = []
         for _ in range(100):
-            _, cache = nn.forward(net, np.ones((1, 1)), training=True, seed=rng)
+            _, cache = nn.forward(net, np.ones((1, 1)), rng)
             means.append(cache.masks[0].mean())
         # 100 batches x 100 units = 10,000 mask draws
         assert abs(np.mean(means) - 1.0) < 0.02
@@ -174,9 +175,9 @@ class TestBackward:
         net = nn.init_network([(3, 6), (6, 1)], ["tanh", "sigmoid"], dropout_rate=0.4, seed=rng)
         x = rng.random((5, 3))
         target = rng.random((5, 1))
-        out, cache = nn.forward(net, x, training=True, seed=99)
+        out, cache = nn.forward(net, x, 99)
         analytic, _ = nn.backward(net, cache, out - target)
-        numeric = finite_difference_grads(net, x, target, training=True, seed=99)
+        numeric = finite_difference_grads(net, x, target, rng=99)
         assert_grads_close(analytic, numeric)
 
     def test_input_gradient_matches_finite_differences(self):
@@ -210,14 +211,14 @@ class TestAdam:
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
         before = [p.copy() for p in params]
         state = nn.AdamState(params, learning_rate=0.1)
-        nn.adam_step(state, params, [np.zeros(2), np.zeros((1, 1))])
+        nn.adam_step(state, [np.zeros(2), np.zeros((1, 1))])
         assert np.array_equal(params[0], before[0]) and np.array_equal(params[1], before[1])
         assert state.t == 1
 
     def test_first_step_magnitude(self):
         params = [np.array([0.0])]
         state = nn.AdamState(params, learning_rate=1e-4)
-        nn.adam_step(state, params, [np.array([1.0])])
+        nn.adam_step(state, [np.array([1.0])])
         delta = params[0][0] - 0.0
         assert abs(delta + 1e-4) < 1e-9
 
@@ -232,7 +233,7 @@ class TestAdam:
         live = list(params)
         for t in range(1, 6):
             grads = [rng.standard_normal(p.shape) for p in params]
-            assert nn.adam_step(state, params, grads) is None
+            assert nn.adam_step(state, grads) is None
             for i, g in enumerate(grads):
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * g * g
@@ -248,15 +249,26 @@ class TestAdam:
         net = nn.MLPNetwork([nn.Layer(np.array([[1]]), np.array([0]), "identity")])
         out, cache = nn.forward(net, np.ones((2, 1)))
         grads, _ = nn.backward(net, cache, out)
-        nn.adam_step(nn.AdamState(net.parameters(), learning_rate=0.1), net.parameters(), grads)
+        nn.adam_step(nn.AdamState(net.parameters(), learning_rate=0.1), grads)
         assert net.layers[0].weights.dtype == np.float64
         assert net.layers[0].weights[0, 0] == pytest.approx(0.9)
 
-    def test_shape_mismatch(self):
-        params = [np.zeros(2)]
-        state = nn.AdamState(params)
+    @pytest.mark.parametrize(
+        "bad_grads",
+        [[np.ones(2)], [np.ones(2), np.ones((2, 1))]],
+        ids=["wrong-length", "wrong-shape"],
+    )
+    def test_shape_mismatch(self, bad_grads):
+        # rejected input leaves the step counter, parameters and moments as they were
+        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        state = nn.AdamState(params, learning_rate=0.1)
+        nn.adam_step(state, [np.array([0.5, -0.5]), np.array([[2.0]])])
+        before = [[a.copy() for a in arrays] for arrays in (state.params, state.m, state.v)]
         with pytest.raises(DimensionMismatchError):
-            nn.adam_step(state, params, [np.zeros(3)])
+            nn.adam_step(state, bad_grads)
+        assert state.t == 1
+        for arrays, saved in zip((state.params, state.m, state.v), before):
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, saved))
 
 
 class TestBceLoss:

@@ -282,7 +282,7 @@ class TestAdasyn:
         labels += [0] * 15
         ds = make_dataset(feats, labels)
         plan = adasyn_plan(ds, k=5)
-        assert plan.total == 10
+        assert plan.counts.sum() == 10
         assert plan.counts.tolist() == [8, 2] + [0] * 8
         aug = adasyn(ds, k=5, seed=0)
         sources = [src for src, _ in aug.synthesis_log]
@@ -300,7 +300,7 @@ class TestAdasyn:
                     warnings.simplefilter("ignore")  # tiny fixtures cap k
                     plan = adasyn_plan(ds, k=3)
                 assert plan.counts.tolist() == expected.tolist()
-                assert plan.counts.sum() == plan.total
+                assert plan.counts.sum() == ds.n_rows - 2 * np.count_nonzero(ds.labels == 1)
 
     def test_geometry_and_parity(self):
         rng = np.random.default_rng(44)
@@ -362,10 +362,10 @@ class TestAssemble:
     def test_log_length_must_match_synthetic_rows(self, make_dataset, n_log):
         ds = make_dataset(*DIAGONAL_PAIR)
         with pytest.raises(ValueError, match="one synthesis_log entry per synthetic row"):
-            ovs._assemble(ds, np.zeros((2, ds.n_features)), "smote", [(0, 1)] * n_log)
+            ovs._assemble(ds, np.zeros((2, ds.n_features)), [(0, 1)] * n_log)
 
 
 class TestSynthesisPlan:
-    def test_counts_must_sum(self):
-        with pytest.raises(ValueError):
-            SynthesisPlan(np.array([1, 2]), 4)
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SynthesisPlan(np.array([1, -1, 2]))
