@@ -100,7 +100,6 @@ class ImbalanceStats:
     n_minority: int
     n_majority: int
     ratio: float  # majority / minority; inf when a class is absent
-    minority_label: int
 
     @property
     def single_class(self) -> bool:
@@ -215,15 +214,11 @@ def minmax_transform(params: ScalerParams, d: Dataset) -> Dataset:
 
 
 def imbalance_stats(d: Dataset) -> ImbalanceStats:
-    """Class counts and majority/minority ratio; class 1 wins ties."""
+    """Class counts and majority/minority ratio."""
     n1 = int(np.sum(d.labels == 1))
-    n0 = d.n_rows - n1
-    if n1 <= n0:
-        n_min, n_maj, min_label = n1, n0, 1
-    else:
-        n_min, n_maj, min_label = n0, n1, 0
+    n_min, n_maj = sorted((n1, d.n_rows - n1))
     ratio = float(n_maj) / n_min if n_min > 0 else float("inf")
-    return ImbalanceStats(n_min, n_maj, ratio, min_label)
+    return ImbalanceStats(n_min, n_maj, ratio)
 
 
 def _round_half_up(x: float) -> int:

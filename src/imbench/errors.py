@@ -53,10 +53,6 @@ class TooFewRowsError(ImbenchError, ValueError):
     """Too few rows per class for the requested split."""
 
 
-class KTooLargeError(ImbenchError, ValueError):
-    """k exceeds the number of available reference rows."""
-
-
 class MinorityTooSmallError(ImbenchError, ValueError):
     """An interpolating sampler needs at least two minority rows."""
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    DimensionMismatchError,
-    KTooLargeError,
-    MinorityTooSmallError,
-    SingleClassError,
-)
+from .errors import DimensionMismatchError, MinorityTooSmallError, SingleClassError
 
 MINORITY = 1  # internal convention: minority/positive class is label 1
 
@@ -27,9 +22,10 @@ MINORITY = 1  # internal convention: minority/positive class is label 1
 class KNNIndex:
     """Exhaustive Euclidean nearest-neighbor lookup over a reference matrix.
 
-    Ties break toward the lower row index. With exclude_self=True, rows at
-    distance exactly zero from the query (the point itself and any exact
-    duplicates) are dropped, so the result holds distinct neighbors only.
+    A query returns up to k nearest reference rows, nearest first, with ties
+    broken toward the lower row index. Rows at distance exactly zero from the
+    query (the point itself and any exact duplicates) are never neighbors, so
+    fewer than k rows come back when fewer than k rows differ from it.
     """
 
     def __init__(self, reference: np.ndarray):
@@ -38,7 +34,8 @@ class KNNIndex:
             raise DimensionMismatchError("reference must be a non-empty 2-D matrix")
         self.reference = ref
 
-    def query(self, point: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
+    def query(self, point: np.ndarray, k: int) -> np.ndarray:
+        """Indices of up to k nearest distinct reference rows; one distance pass."""
         p = np.asarray(point, dtype=np.float64).ravel()
         if p.shape[0] != self.reference.shape[1]:
             raise DimensionMismatchError(
@@ -46,17 +43,9 @@ class KNNIndex:
             )
         if k < 1:
             raise ValueError("k must be >= 1")
-        order = self._ranked(p, exclude_self)
-        if k > order.shape[0]:
-            raise KTooLargeError(f"k={k} but only {order.shape[0]} reference rows available")
-        return order[:k]
-
-    def _ranked(self, p: np.ndarray, exclude_self: bool) -> np.ndarray:
-        """Every reference row by distance from p, ties to the lower row; one
-        distance pass."""
         sq = np.sum((self.reference - p) ** 2, axis=1)
-        keep = np.flatnonzero(sq > 0.0) if exclude_self else np.arange(sq.shape[0])
-        return keep[np.argsort(sq[keep], kind="stable")]
+        keep = np.flatnonzero(sq > 0.0)
+        return keep[np.argsort(sq[keep], kind="stable")[:k]]
 
 
 @dataclass(frozen=True)
@@ -145,15 +134,15 @@ def _effective_k(k: int, n_minority: int, sampler: str) -> int:
 def _neighbors(
     train: Dataset, rows: np.ndarray, reference_rows: np.ndarray, k: int
 ) -> dict[int, np.ndarray]:
-    """Up to k >= 1 nearest distinct rows among reference_rows for each of rows.
+    """Up to k >= 1 nearest distinct rows among reference_rows for each of
+    rows, one KNNIndex.query per row.
 
-    Keys and values are indices into train; each row's k is capped at the
-    reference rows that differ from it, so a row whose every reference row
-    is a duplicate of it gets an empty array.
+    Keys and values are indices into train. A row gets fewer than k when
+    fewer reference rows differ from it, and an empty array when every
+    reference row is a duplicate of it.
     """
     index = KNNIndex(train.features[reference_rows])
-    # slicing the one ranking caps k at the reference rows that differ
-    return {int(i): reference_rows[index._ranked(train.features[i], True)[:k]] for i in rows}
+    return {int(i): reference_rows[index.query(train.features[i], k)] for i in rows}
 
 
 def _majority_fraction(train: Dataset, minority_idx: np.ndarray, m: int) -> np.ndarray:
@@ -167,10 +156,10 @@ def _majority_fraction(train: Dataset, minority_idx: np.ndarray, m: int) -> np.n
 
 def _interpolate(
     train: Dataset, minority_idx: np.ndarray, schedule: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """One synthetic row per entry of schedule, a source row: x_src + u *
-    (x_nb - x_src) with u ~ U(0,1) and x_nb one of the k nearest distinct
-    minority rows of x_src."""
+) -> AugmentedDataset:
+    """train plus one synthetic row per entry of schedule, a source row:
+    x_src + u * (x_nb - x_src) with u ~ U(0,1) and x_nb one of the k nearest
+    distinct minority rows of x_src."""
     neighbors = _neighbors(train, minority_idx, minority_idx, k)
     synth = np.empty((schedule.size, train.n_features))
     log: list[tuple[int, int]] = []
@@ -181,7 +170,7 @@ def _interpolate(
         u = rng.random()
         synth[t] = train.features[src] + u * (train.features[nb] - train.features[src])
         log.append((src, nb))
-    return synth, log
+    return _assemble(train, synth, log)
 
 
 def _smote(
@@ -190,9 +179,7 @@ def _smote(
     """SMOTE from sources, which a seeded shuffle cycles through (counts
     within 1 of each other); k is already checked."""
     rng = np.random.default_rng(seed)
-    schedule = np.resize(rng.permutation(sources), gap)
-    synth, log = _interpolate(train, minority_idx, schedule, k, rng)
-    return _assemble(train, synth, log)
+    return _interpolate(train, minority_idx, np.resize(rng.permutation(sources), gap), k, rng)
 
 
 def smote(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
@@ -274,5 +261,4 @@ def adasyn(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:
         warnings.warn("adasyn: all-zero density, falling back to plain SMOTE")
         return _smote(train, minority_idx, minority_idx, gap, k, seed)
     rng = np.random.default_rng(seed)
-    synth, log = _interpolate(train, minority_idx, np.repeat(minority_idx, counts), k, rng)
-    return _assemble(train, synth, log)
+    return _interpolate(train, minority_idx, np.repeat(minority_idx, counts), k, rng)

@@ -220,7 +220,7 @@ class TestImbalanceStats:
     def test_balanced(self, make_dataset):
         ds = make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
         stats = imbalance_stats(ds)
-        assert stats.ratio == 1.0 and stats.minority_label == 1
+        assert stats.ratio == 1.0
 
     def test_three_vs_nine(self, make_dataset):
         feats = [[float(i)] for i in range(12)]

@@ -5,7 +5,7 @@ import pytest
 
 from imbench import oversamplers as ovs
 from imbench.data import Dataset, imbalance_stats
-from imbench.errors import KTooLargeError, MinorityTooSmallError, SingleClassError
+from imbench.errors import MinorityTooSmallError, SingleClassError
 from imbench.oversamplers import (
     KNNIndex,
     SynthesisPlan,
@@ -26,13 +26,11 @@ DANGER_PAIR = ([[0.0], [0.45], [0.5], [0.55], [0.6], [0.65], [0.7]], [1, 1, 0, 0
 ISOLATED_TRIPLE = ([[0.0], [0.1], [0.2]] + [[50.0 + i] for i in range(7)], [1, 1, 1] + [0] * 7)
 
 
-def brute_force_knn(reference, point, k, exclude_self=False):
+def brute_force_knn(reference, point, k):
     """Quadratic oracle: all distances, stable sort, drop zero-distance rows."""
     dists = [float(np.linalg.norm(row - point)) for row in reference]
     order = sorted(range(len(reference)), key=lambda i: (dists[i], i))
-    if exclude_self:
-        order = [i for i in order if dists[i] > 0.0]
-    return order[:k]
+    return [i for i in order if dists[i] > 0.0][:k]
 
 
 def on_segment(point, a, b, atol=1e-9):
@@ -62,36 +60,30 @@ class TestKnnQuery:
     def test_exclusion_contract(self):
         ref = np.array([[0.0], [1.0], [3.0], [7.0]])
         index = KNNIndex(ref)
-        got = index.query(ref[1], 3, exclude_self=True)
+        got = index.query(ref[1], 3)
         assert 1 not in got.tolist()
 
     def test_hand_distances(self):
         index = KNNIndex(np.array([[0.0], [1.0], [3.0], [7.0]]))
-        got = index.query(np.array([0.0]), 2, exclude_self=True)
+        got = index.query(np.array([0.0]), 2)
         assert got.tolist() == [1, 2]
 
     def test_matches_brute_force_for_all_k(self):
         rng = np.random.default_rng(9)
         ref = rng.random((5, 3))
         index = KNNIndex(ref)
-        for k in range(1, 6):
-            for q in ref:
+        # k past the distinct rows is the cap path the samplers take
+        for k in range(1, ref.shape[0] + 2):
+            for q in [*ref, np.full(3, 0.5)]:
                 assert index.query(q, k).tolist() == brute_force_knn(ref, q, k)
-            for k2 in range(1, 5):
-                for q in ref:
-                    assert (
-                        index.query(q, k2, exclude_self=True).tolist()
-                        == brute_force_knn(ref, q, k2, exclude_self=True)
-                    )
 
     def test_tie_break_lower_index(self):
         index = KNNIndex(np.array([[1.0], [1.0], [0.0]]))
         assert index.query(np.array([0.5]), 2).tolist() == [0, 1]
 
-    def test_k_too_large(self):
-        index = KNNIndex(np.array([[0.0], [1.0]]))
-        with pytest.raises(KTooLargeError):
-            index.query(np.array([0.0]), 2, exclude_self=True)
+    def test_k_beyond_distinct_rows_returns_all(self):
+        index = KNNIndex(np.array([[0.0], [1.0], [0.0]]))
+        assert index.query(np.array([0.0]), 3).tolist() == [1]
 
 
 class TestRandomOversample:
@@ -355,6 +347,27 @@ class TestSamplerInvariants:
         texts = [str(w.message) for w in caught]
         assert sum("capped at" in t for t in texts) == 1, texts
         assert sum("falling back" in t for t in texts) == fallbacks, texts
+
+    @pytest.mark.parametrize(
+        "sampler, per_row",
+        [(smote, 1), (borderline_smote, 2), (adasyn, 2)],
+        ids=["smote", "b-smote", "adasyn"],
+    )
+    def test_every_neighbour_search_calls_query(self, monkeypatch, sampler, per_row):
+        # one KNNIndex.query per minority row per neighbour search, counted
+        # by wrapping the class attribute as a tracer would
+        ds = random_imbalanced(np.random.default_rng(66), n_min=6, n_maj=15)
+        calls = []
+        real_query = KNNIndex.query
+
+        def counting_query(self, point, k):
+            calls.append(k)
+            return real_query(self, point, k)
+
+        monkeypatch.setattr(KNNIndex, "query", counting_query)
+        aug = sampler(ds, k=3, seed=0)
+        assert aug.n_synthetic == 9
+        assert len(calls) == per_row * 6
 
 
 class TestAssemble:
