@@ -111,7 +111,7 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class RankTable:
-    overall: dict[str, float]  # sampler -> mean rank over all cells, in sampler-name order
+    overall: dict[str, float]  # sampler -> mean rank over all ranked pairs, in sampler-name order
     per_classifier: dict[str, dict[str, float]]  # classifier -> sampler -> mean rank
 
 
@@ -252,24 +252,27 @@ def run_benchmark(
 
 
 def mean_rank(f1_table: dict[tuple[str, str, str], float]) -> RankTable:
-    """Cross-dataset mean ranks from a complete
-    {(dataset, classifier, sampler): f1} table."""
-    datasets = sorted({k[0] for k in f1_table})
-    classifiers = sorted({k[1] for k in f1_table})
+    """Mean ranks over the (dataset, classifier) pairs of a
+    {(dataset, classifier, sampler): f1} table. Every pair present needs an
+    F1 for every sampler; a pair may be absent as a whole."""
+    pairs = sorted({k[:2] for k in f1_table})
     samplers = tuple(sorted({k[2] for k in f1_table}))
     if len(samplers) < 2:
         raise IncompleteTableError("ranking needs at least two samplers")
     try:  # built in d, c, s order, so the error names the first missing key
-        f1 = np.array([[[f1_table[(d, c, s)] for s in samplers] for c in classifiers] for d in datasets])
+        f1 = np.array([[f1_table[(d, c, s)] for s in samplers] for d, c in pairs])
     except KeyError as exc:
         raise IncompleteTableError(f"missing F1 for {exc.args[0]}") from None
-    # 1 = best; tied samplers share the mean of their positions. [d, c, s, t]
+    # 1 = best; tied samplers share the mean of their positions. [p, s, t]
     # compares sampler t with s, so equal counts s. Half-integer ranks sum exactly.
-    greater = (f1[..., None, :] > f1[..., :, None]).sum(axis=-1)
-    equal = (f1[..., None, :] == f1[..., :, None]).sum(axis=-1)
+    greater = (f1[:, None, :] > f1[:, :, None]).sum(axis=-1)
+    equal = (f1[:, None, :] == f1[:, :, None]).sum(axis=-1)
     ranks = greater + (equal + 1) / 2
-    per_classifier = {c: dict(zip(samplers, row.tolist())) for c, row in zip(classifiers, ranks.mean(axis=0))}
-    overall = dict(zip(samplers, ranks.mean(axis=(0, 1)).tolist()))
+    per_classifier = {}
+    for c in sorted({c for _, c in pairs}):
+        rows = [i for i, pair in enumerate(pairs) if pair[1] == c]
+        per_classifier[c] = dict(zip(samplers, ranks[rows].mean(axis=0).tolist()))
+    overall = dict(zip(samplers, ranks.mean(axis=0).tolist()))
     return RankTable(overall, per_classifier)
 
 

@@ -366,7 +366,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
     dims = list(zip(sizes[:-1], sizes[1:]))
     acts = ["relu"] * len(spec.hidden) + ["sigmoid"]
     net = nn.init_network(dims, acts, seed=rng)
-    opt = nn.AdamState(net.parameters(), learning_rate=spec.learning_rate)
+    opt = nn.AdamState(net.vector, learning_rate=spec.learning_rate)
     x, y = train.features, train.labels.astype(np.float64)
     for _ in range(spec.epochs):
         perm = rng.permutation(train.n_rows)
@@ -375,7 +375,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
             out, cache = nn.forward(net, x[idx], rng)
             _, grad = nn.bce_loss(out[:, 0], y[idx])
             grads, _ = nn.backward(net, cache, grad.reshape(-1, 1))
-            nn.adam_step(opt, grads)
+            nn.adam_step(opt, grads.vector)
     return MLPModel(net)
 
 

@@ -103,15 +103,18 @@ def _cmd_run(args) -> int:
     except (ImbenchError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rank = None
-    if len(config.samplers) >= 2 and report.cells and not report.failures:
-        rank = bench.mean_rank(bench.report_to_f1_table(report))
+    # rank the (dataset, classifier) pairs whose every sampler succeeded
+    excluded = sorted({(d, c) for d, _, c in report.failures})
+    f1 = {k: v for k, v in bench.report_to_f1_table(report).items() if k[:2] not in excluded}
+    rank = bench.mean_rank(f1) if len(config.samplers) >= 2 and f1 else None
     paths = bench.emit_report(report, rank, out_dir, fmt)
     for p in paths:
         print(f"wrote {p}")
     if report.failures:
         for key, msg in sorted(report.failures.items()):
             print(f"FAILED cell {key}: {msg}", file=sys.stderr)
+        for d, c in excluded:
+            print(f"excluded from ranks: dataset {d!r}, classifier {c!r}", file=sys.stderr)
         return 1
     return 0
 

@@ -71,7 +71,7 @@ def feature_matching_loss(
 
     Both batches are conditioned discriminator inputs (label column
     included). Features are taken at the indexed layer with dropout off,
-    through a prefix network that shares the discriminator's live layers.
+    by prefix passes through the discriminator's live layers.
     """
     real = np.asarray(real_batch, dtype=np.float64)
     fake = np.asarray(fake_batch, dtype=np.float64)
@@ -83,14 +83,14 @@ def feature_matching_loss(
         )
     if not 0 <= feature_layer_index < len(disc.layers):
         raise IndexError(f"feature_layer_index {feature_layer_index} out of range")
-    prefix = nn.MLPNetwork(disc.layers[: feature_layer_index + 1])
-    real_feat, _ = nn.forward(prefix, real)
-    fake_out, fake_cache = nn.forward(prefix, fake)
+    depth = feature_layer_index + 1
+    real_feat, _ = nn.forward(disc, real, depth=depth)
+    fake_out, fake_cache = nn.forward(disc, fake, depth=depth)
     diff = real_feat.mean(axis=0) - fake_out.mean(axis=0)
     loss = float(np.dot(diff, diff))
     # d loss / d fake_features: each fake row contributes 1/B to the mean
-    out_grad = np.tile(-2.0 * diff / fake.shape[0], (fake.shape[0], 1))
-    _, input_grad = nn.backward(prefix, fake_cache, out_grad)
+    out_grad = np.broadcast_to(-2.0 * diff / fake.shape[0], fake_out.shape)
+    _, input_grad = nn.backward(disc, fake_cache, out_grad, param_grads=False)
     return loss, input_grad
 
 
@@ -122,52 +122,56 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
     gen, disc = _build_networks(train.n_features, config, rng)
     feat_idx = len(config.discriminator_hidden) - 1  # the deepest hidden layer
 
-    gen_opt = nn.AdamState(gen.parameters(), learning_rate=LEARNING_RATE)
-    disc_opt = nn.AdamState(disc.parameters(), learning_rate=LEARNING_RATE)
+    gen_opt = nn.AdamState(gen.vector, learning_rate=LEARNING_RATE)
+    disc_opt = nn.AdamState(disc.vector, learning_rate=LEARNING_RATE)
 
-    n = train.n_rows
-    x_gan = 2.0 * x - 1.0  # [0,1] -> tanh space
-    labels = train.labels.astype(np.float64)
+    n, n_feat, noise_dim, batch = train.n_rows, train.n_features, config.noise_dim, config.batch_size
+    real_cond = _conditioned(2.0 * x - 1.0, train.labels)  # [0,1] -> tanh space
+    # every step refills these in place: noise or generated rows, then the
+    # batch's label column
+    gen_buf = np.empty((batch, noise_dim + 1))
+    fake_buf = np.empty((batch, n_feat + 1))
+    ones, zeros = np.ones(batch), np.zeros(batch)
     history: list[tuple[float, float]] = []
 
     for _epoch in range(config.epochs):
         perm = rng.permutation(n)
         d_losses, g_losses = [], []
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
+        for start in range(0, n, batch):
+            idx = perm[start : start + batch]
             b = idx.size
-            real_x = x_gan[idx]
-            y = labels[idx]
-            real_in = _conditioned(real_x, y)
+            real_in = real_cond[idx]
+            gen_in, fake_in = gen_buf[:b], fake_buf[:b]
+            gen_in[:, noise_dim] = fake_in[:, n_feat] = real_in[:, n_feat]
 
             # discriminator on real rows, target 1
             d_out, d_cache = nn.forward(disc, real_in, rng)
-            loss_real, d_grad = nn.bce_loss(d_out[:, 0], np.ones(b))
+            loss_real, d_grad = nn.bce_loss(d_out[:, 0], ones[:b])
             grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            nn.adam_step(disc_opt, grads)
+            nn.adam_step(disc_opt, grads.vector)
 
             # discriminator on generated rows (same label mix), target 0
-            z = rng.standard_normal((b, config.noise_dim))
-            fake_x, _ = nn.forward(gen, _conditioned(z, y))
-            fake_in = _conditioned(fake_x, y)
+            gen_in[:, :noise_dim] = rng.standard_normal((b, noise_dim))
+            fake_in[:, :n_feat] = nn.forward(gen, gen_in)[0]
             d_out, d_cache = nn.forward(disc, fake_in, rng)
-            loss_fake, d_grad = nn.bce_loss(d_out[:, 0], np.zeros(b))
+            loss_fake, d_grad = nn.bce_loss(d_out[:, 0], zeros[:b])
             grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            nn.adam_step(disc_opt, grads)
+            nn.adam_step(disc_opt, grads.vector)
 
-            # generator step: fresh noise, labels matching the real batch
-            z2 = rng.standard_normal((b, config.noise_dim))
-            fake2, g_cache = nn.forward(gen, _conditioned(z2, y), rng)
-            fake2_in = _conditioned(fake2, y)
+            # generator step: fresh noise, labels matching the real batch; the
+            # discriminator's parameter gradients are not needed
+            gen_in[:, :noise_dim] = rng.standard_normal((b, noise_dim))
+            fake, g_cache = nn.forward(gen, gen_in, rng)
+            fake_in[:, :n_feat] = fake
             if objective == "sdg-gan":
-                g_loss, fake_in_grad = feature_matching_loss(disc, real_in, fake2_in, feat_idx)
+                g_loss, fake_in_grad = feature_matching_loss(disc, real_in, fake_in, feat_idx)
             else:
-                d_out, d_cache = nn.forward(disc, fake2_in)
-                g_loss, d_grad = nn.bce_loss(d_out[:, 0], np.ones(b))
-                _, fake_in_grad = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            fake_grad = fake_in_grad[:, : train.n_features]  # label column is not learned
+                d_out, d_cache = nn.forward(disc, fake_in)
+                g_loss, d_grad = nn.bce_loss(d_out[:, 0], ones[:b])
+                _, fake_in_grad = nn.backward(disc, d_cache, d_grad.reshape(-1, 1), param_grads=False)
+            fake_grad = fake_in_grad[:, :n_feat]  # label column is not learned
             grads, _ = nn.backward(gen, g_cache, fake_grad)
-            nn.adam_step(gen_opt, grads)
+            nn.adam_step(gen_opt, grads.vector)
 
             d_losses.append(0.5 * (loss_real + loss_fake))
             g_losses.append(g_loss)

@@ -3,8 +3,9 @@
 This is deliberately a small layered implementation, not a general autodiff
 graph: every consumer in the package (GAN generator/discriminator, MLP
 classifier) is a plain stack of affine + activation layers. ``backward``
-returns both parameter gradients and the gradient w.r.t. the batch input,
-which is what lets a generator train through a frozen discriminator prefix.
+returns the gradient w.r.t. the batch input as well as the parameter
+gradients, which is what lets a generator train through a discriminator, or
+a prefix of it (``forward(..., depth=k)``), whose parameters it leaves alone.
 """
 
 from __future__ import annotations
@@ -38,8 +39,25 @@ class Layer:
     activation: str
 
 
+def _views(layers, vector: np.ndarray) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] shaped like ``layers``' arrays, as views into ``vector``."""
+    out, pos = [], 0
+    for ly in layers:
+        for a in (ly.weights, ly.bias):
+            out.append(vector[pos : pos + a.size].reshape(a.shape))
+            pos += a.size
+    return out
+
+
 class MLPNetwork:
     """Ordered stack of affine+activation layers with a shared dropout rate.
+
+    The network copies the given layers' weights and biases into one
+    float64 vector, ``vector``, laid out [W0, b0, W1, b1, ...], and holds
+    new ``Layer`` objects whose arrays are views into it, so one in-place
+    Adam update trains the whole network. The given layers are left as they
+    were: a network built over another one's layers, such as a prefix, is a
+    copy, and never detaches them from the vector their optimizer updates.
 
     Dropout applies to hidden-layer outputs only (never the last layer) and
     only in a forward pass given an rng (a training pass).
@@ -58,14 +76,20 @@ class MLPNetwork:
         for ly in layers:
             if ly.activation not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {ly.activation!r}")
-            # adam_step updates the arrays in place, so they must be float64;
-            # float64 arrays are kept as they are, shared with any prefix
-            ly.weights = np.asarray(ly.weights, dtype=np.float64)
-            ly.bias = np.asarray(ly.bias, dtype=np.float64)
-            if not (np.all(np.isfinite(ly.weights)) and np.all(np.isfinite(ly.bias))):
-                raise ValueError("non-finite parameters")
-        self.layers = layers
+        vector = np.concatenate(
+            [np.asarray(a, dtype=np.float64).ravel() for ly in layers for a in (ly.weights, ly.bias)]
+        )
+        if not np.all(np.isfinite(vector)):
+            raise ValueError("non-finite parameters")
+        views = _views(layers, vector)
+        self.layers = [Layer(w, b, ly.activation) for ly, w, b in zip(layers, views[::2], views[1::2])]
+        self.vector = vector
         self.dropout_rate = float(dropout_rate)
+
+    def __reduce__(self):
+        # copies and pickles are built anew from the layers, so that their
+        # layers view their own vector
+        return MLPNetwork, (self.layers, self.dropout_rate)
 
     @property
     def input_dim(self) -> int:
@@ -77,11 +101,7 @@ class MLPNetwork:
 
     def parameters(self) -> list[np.ndarray]:
         """Flat list [W0, b0, W1, b1, ...] referencing live arrays."""
-        out = []
-        for ly in self.layers:
-            out.append(ly.weights)
-            out.append(ly.bias)
-        return out
+        return [a for ly in self.layers for a in (ly.weights, ly.bias)]
 
 
 def init_network(layer_dims, activations, dropout_rate: float = 0.0, seed=0) -> MLPNetwork:
@@ -120,12 +140,16 @@ class ForwardCache:
     masks: list[np.ndarray | None]
 
 
-def forward(net: MLPNetwork, batch: np.ndarray, rng=None) -> tuple[np.ndarray, ForwardCache]:
+def forward(
+    net: MLPNetwork, batch: np.ndarray, rng=None, depth: int | None = None
+) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch; returns (output, cache).
 
     Given ``rng`` (a seed or a Generator), this is a training pass: inverted
     dropout (mask / (1 - rate)) is applied to every hidden layer's output,
     drawn from ``rng``. Without one it is an inference pass, dropout-free.
+    Given ``depth``, only the first ``depth`` layers run (a prefix pass), and
+    the output is theirs.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -135,9 +159,10 @@ def forward(net: MLPNetwork, batch: np.ndarray, rng=None) -> tuple[np.ndarray, F
     if rng is not None:
         rng = np.random.default_rng(rng)
     inputs, pres, posts, masks = [], [], [], []
-    for i, ly in enumerate(net.layers):
+    for i, ly in enumerate(net.layers[:depth]):
         inputs.append(x)
-        z = x @ ly.weights + ly.bias
+        z = x @ ly.weights
+        z += ly.bias
         a = ACTIVATIONS[ly.activation][0](z)
         pres.append(z)
         posts.append(a)
@@ -145,39 +170,52 @@ def forward(net: MLPNetwork, batch: np.ndarray, rng=None) -> tuple[np.ndarray, F
         is_hidden = i < len(net.layers) - 1
         if rng is not None and is_hidden and net.dropout_rate > 0.0:
             keep = 1.0 - net.dropout_rate
-            mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
+            # (r < keep) * (1 / keep) is (r < keep) / keep, without the division
+            mask = (rng.random(a.shape) < keep) * (1.0 / keep)
             a = a * mask
         masks.append(mask)
         x = a
     return x, ForwardCache(inputs, pres, posts, masks)
 
 
-def backward(
-    net: MLPNetwork, cache: ForwardCache, output_gradient: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Reverse accumulation through the cached pass.
+class ParamGrads(list):
+    """[dW0, db0, dW1, db1, ...] for the first layers of a network: shaped
+    views into one vector, ``vector``, laid out as ``MLPNetwork.vector``."""
 
-    Returns (param_grads, input_grad) where param_grads is the flat
-    [dW0, db0, dW1, db1, ...] list matching net.parameters(). Dropout masks
-    recorded in the cache are reused, so gradients match the exact forward
-    pass they came from.
+    def __init__(self, layers):
+        self.vector = np.empty(sum(ly.weights.size + ly.bias.size for ly in layers))
+        super().__init__(_views(layers, self.vector))
+
+
+def backward(
+    net: MLPNetwork, cache: ForwardCache, output_gradient: np.ndarray, param_grads: bool = True
+) -> tuple[ParamGrads | None, np.ndarray]:
+    """Reverse accumulation through the cached pass, over the layers it ran.
+
+    Returns (param_grads, input_grad) where param_grads is a ParamGrads
+    matching net.parameters() (its first entries, after a prefix pass), or
+    None when ``param_grads`` is false: a caller that needs only the input
+    gradient skips the weight and bias products. Dropout masks recorded in
+    the cache are reused, so gradients match the exact forward pass they
+    came from.
     """
-    n_layers = len(net.layers)
-    if len(cache.pre) != n_layers or len(cache.inputs) != n_layers:
+    depth = len(cache.pre)
+    if depth > len(net.layers) or len(cache.inputs) != depth:
         raise CacheMismatchError("cache depth does not match network depth")
     delta = np.asarray(output_gradient, dtype=np.float64)
     if delta.shape != cache.post[-1].shape:
         raise CacheMismatchError(
             f"output gradient shape {delta.shape} != output shape {cache.post[-1].shape}"
         )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * n_layers)
-    for i in range(n_layers - 1, -1, -1):
+    grads = ParamGrads(net.layers[:depth]) if param_grads else None
+    for i in range(depth - 1, -1, -1):
         ly = net.layers[i]
         if cache.masks[i] is not None:
             delta = delta * cache.masks[i]
         dz = delta * ACTIVATIONS[ly.activation][1](cache.pre[i], cache.post[i])
-        grads[2 * i] = cache.inputs[i].T @ dz
-        grads[2 * i + 1] = dz.sum(axis=0)
+        if grads is not None:
+            np.matmul(cache.inputs[i].T, dz, out=grads[2 * i])
+            dz.sum(axis=0, out=grads[2 * i + 1])
         delta = dz @ ly.weights.T
     return grads, delta
 
@@ -189,35 +227,52 @@ ADAM_EPSILON = 1e-8
 
 
 class AdamState:
-    """The live arrays ``adam_step`` updates in place, their moments and the step counter."""
+    """The parameter vector ``adam_step`` updates in place (a network's
+    ``vector``), its moments, scratch space and the step counter."""
 
-    def __init__(self, params, learning_rate=1e-4):
-        self.params = list(params)
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+    def __init__(self, params: np.ndarray, learning_rate=1e-4):
+        if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
+            raise TypeError("AdamState updates a float64 parameter vector, such as MLPNetwork.vector")
+        self.params = params
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.scratch = (np.empty_like(params), np.empty_like(params))
         self.t = 0
         self.learning_rate = float(learning_rate)
 
 
-def adam_step(state: AdamState, grads) -> None:
+def adam_step(state: AdamState, grad: np.ndarray) -> None:
     """One bias-corrected Adam update of ``state.params``, ``state.m`` and
-    ``state.v`` in place; ``grads`` match ``state.params`` one to one.
-    Input that does not match is rejected before anything changes."""
-    if len(grads) != len(state.params):
-        raise DimensionMismatchError("grads length does not match Adam state")
-    for i, (p, g) in enumerate(zip(state.params, grads)):
-        if p.shape != g.shape:
-            raise DimensionMismatchError(f"shape mismatch at parameter {i}")
+    ``state.v`` in place, from a gradient vector laid out like
+    ``state.params`` (``ParamGrads.vector`` of a backward pass through the
+    same network). Input that does not match is rejected before anything
+    changes."""
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != state.params.shape:
+        raise DimensionMismatchError(
+            f"gradient shape {g.shape} does not match parameter shape {state.params.shape}"
+        )
     state.t += 1
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    for p, g, m, v in zip(state.params, grads, state.m, state.v):
-        # the same operations, in the same order, as m = b1*m + (1-b1)*g etc.
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+    m, v, (s, u) = state.m, state.v, state.scratch
+    # the same operations, in the same order, as m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*g*g and p -= lr*(m/c1) / (sqrt(v/c2) + eps), each
+    # over the whole vector, into the scratch buffers
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v += s
+    np.divide(v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPSILON
+    np.divide(m, c1, out=u)
+    u *= lr
+    u /= s
+    state.params -= u
 
 
 PROB_EPS = 1e-7

@@ -295,6 +295,15 @@ class TestMeanRank:
                     per = sum(row_ranks[(d, c, s)] for d in datasets)
                     assert rank.per_classifier[c][s] == per / len(datasets)
 
+    def test_absent_pair_is_left_out(self):
+        # (d2, c2) is absent as a whole: overall is the mean over the three
+        # ranked pairs, and c2's ranks come from d1 alone
+        table = {("d1", "c1", "A"): 0.9, ("d1", "c1", "B"): 0.5, ("d2", "c1", "A"): 0.4}
+        table.update({("d2", "c1", "B"): 0.6, ("d1", "c2", "A"): 0.7, ("d1", "c2", "B"): 0.7})
+        rank = mean_rank(table)
+        assert rank.overall == {"A": 4.5 / 3, "B": 4.5 / 3}
+        assert rank.per_classifier == {"c1": {"A": 1.5, "B": 1.5}, "c2": {"A": 1.5, "B": 1.5}}
+
     def test_incomplete_table_rejected(self):
         table = {("d1", "c", "A"): 0.5, ("d1", "c", "B"): 0.4, ("d2", "c", "A"): 0.3}
         with pytest.raises(IncompleteTableError):

@@ -125,6 +125,49 @@ class TestRunCommand:
         )
         assert code == 1
 
+    def test_ranks_survive_a_failed_cell(self, tmp_path, monkeypatch, capsys):
+        run_one = bench._run_one
+
+        def failing_run_one(task):
+            if task[0] == "a" and task[2:4] == ("ros", "rf"):
+                raise RuntimeError("cell died")
+            return run_one(task)
+
+        monkeypatch.setattr(bench, "_run_one", failing_run_one)
+        paths = [write_toy_csv(tmp_path, name) for name in ("a.csv", "b.csv")]
+        out_dir = tmp_path / "out"
+        code = cli.main(
+            [
+                "run", "--dataset", paths[0], "--dataset", paths[1], "--label-col", "y",
+                "--samplers", "none,ros", "--classifiers", "logreg,rf",
+                "--runs", "1", "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("excluded")] == [
+            "excluded from ranks: dataset 'a', classifier 'rf'"
+        ]
+        f1 = {
+            (d, c, s): mean
+            for (d, s, c, m), (mean, _) in bench.parse_metrics_csv(out_dir / "metrics.csv").items()
+            if m == "f1"
+        }
+        assert ("a", "rf", "none") in f1 and ("a", "rf", "ros") not in f1
+
+        def pair_ranks(d, c):  # (none, ros) ranks within one pair, 1 = best
+            none, ros = f1[(d, c, "none")], f1[(d, c, "ros")]
+            return (1.0, 2.0) if none > ros else (2.0, 1.0) if none < ros else (1.5, 1.5)
+
+        ranked = {"logreg": [pair_ranks("a", "logreg"), pair_ranks("b", "logreg")], "rf": [pair_ranks("b", "rf")]}
+        every = ranked["logreg"] + ranked["rf"]
+        expected = [["classifier", "sampler", "mean_rank"]]
+        for label, rows in (("overall", every), ("logreg", ranked["logreg"]), ("rf", ranked["rf"])):
+            for i, sampler in enumerate(("none", "ros")):
+                expected.append([label, sampler, repr(sum(r[i] for r in rows) / len(rows))])
+        with open(out_dir / "ranks.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == expected
+
     def test_unknown_sampler_is_usage_error(self, tmp_path, capsys):
         csv_path = write_toy_csv(tmp_path)
         code = cli.main(

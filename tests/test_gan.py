@@ -115,8 +115,8 @@ class TestFeatureMatchingLoss:
         disc = nn.init_network([(3, 6), (6, 4), (4, 1)], ["relu", "relu", "sigmoid"], seed=rng)
         real, fake = rng.random((5, 3)), rng.random((4, 3))
         before = feature_matching_loss(disc, real, fake, 1)[0]
-        opt = nn.AdamState(disc.parameters(), learning_rate=0.1)
-        nn.adam_step(opt, [rng.standard_normal(p.shape) for p in disc.parameters()])
+        opt = nn.AdamState(disc.vector, learning_rate=0.1)
+        nn.adam_step(opt, rng.standard_normal(disc.vector.shape))
         updated = copy.deepcopy(disc)
         after = feature_matching_loss(disc, real, fake, 1)[0]
         assert after != before
@@ -184,6 +184,89 @@ class TestTraining:
         probe = np.random.default_rng(1).random((10, ds.n_features + 1))
         out, _ = nn.forward(model.discriminator, probe)
         assert np.all((out > 0.0) & (out < 1.0))
+
+
+def textbook_train(train, config, seed, objective):
+    """The GAN loop written plainly, as the oracle for the in-place one:
+    per-array Adam as m = b1*m + (1-b1)*g, every backward pass with its
+    parameter gradients, hstack conditioning and a fresh prefix network for
+    feature matching."""
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, gan_mod.LEARNING_RATE
+    rng = np.random.default_rng(seed)
+    gen, disc = gan_mod._build_networks(train.n_features, config, rng)
+    moments = {id(p): [np.zeros_like(p), np.zeros_like(p)] for net in (gen, disc) for p in net.parameters()}
+    steps = {id(gen): 0, id(disc): 0}
+
+    def adam(net, grads):
+        steps[id(net)] += 1
+        t = steps[id(net)]
+        for p, g in zip(net.parameters(), grads):
+            mv = moments[id(p)]
+            mv[0] = b1 * mv[0] + (1.0 - b1) * g
+            mv[1] = b2 * mv[1] + (1.0 - b2) * g * g
+            p -= lr * (mv[0] / (1.0 - b1**t)) / (np.sqrt(mv[1] / (1.0 - b2**t)) + eps)
+
+    def cond(a, y):
+        return np.hstack([a, y.reshape(-1, 1)])
+
+    x = 2.0 * train.features - 1.0
+    labels = train.labels.astype(np.float64)
+    n, nf, nd = train.n_rows, train.n_features, config.noise_dim
+    history = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        d_losses, g_losses = [], []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            b, y = idx.size, labels[idx]
+            real_in = cond(x[idx], y)
+            out, cache = nn.forward(disc, real_in, rng)
+            loss_real, grad = nn.bce_loss(out[:, 0], np.ones(b))
+            adam(disc, nn.backward(disc, cache, grad.reshape(-1, 1))[0])
+            fake, _ = nn.forward(gen, cond(rng.standard_normal((b, nd)), y))
+            out, cache = nn.forward(disc, cond(fake, y), rng)
+            loss_fake, grad = nn.bce_loss(out[:, 0], np.zeros(b))
+            adam(disc, nn.backward(disc, cache, grad.reshape(-1, 1))[0])
+            fake, g_cache = nn.forward(gen, cond(rng.standard_normal((b, nd)), y), rng)
+            fake_in = cond(fake, y)
+            if objective == "sdg-gan":
+                prefix = nn.MLPNetwork(disc.layers[: len(config.discriminator_hidden)])
+                real_feat, _ = nn.forward(prefix, real_in)
+                fake_feat, f_cache = nn.forward(prefix, fake_in)
+                diff = real_feat.mean(axis=0) - fake_feat.mean(axis=0)
+                g_loss = float(np.dot(diff, diff))
+                _, in_grad = nn.backward(prefix, f_cache, np.tile(-2.0 * diff / b, (b, 1)))
+            else:
+                out, cache = nn.forward(disc, fake_in)
+                g_loss, grad = nn.bce_loss(out[:, 0], np.ones(b))
+                _, in_grad = nn.backward(disc, cache, grad.reshape(-1, 1))
+            adam(gen, nn.backward(gen, g_cache, in_grad[:, :nf])[0])
+            d_losses.append(0.5 * (loss_real + loss_fake))
+            g_losses.append(g_loss)
+        history.append((float(np.mean(d_losses)), float(np.mean(g_losses))))
+    return GANModel(gen, disc, config, history)
+
+
+class TestTextbookOracle:
+    @pytest.mark.parametrize("objective, train", [("cgan", train_cgan), ("sdg-gan", train_sdg_gan)])
+    def test_training_is_bit_identical_to_the_textbook_loop(self, objective, train):
+        ds = scaled_toy(n_min=9, n_maj=20)  # 29 rows: the last batch of 8 holds 5
+        config = tiny_config(3)
+        model = train(ds, config, seed=4)
+        oracle = textbook_train(ds, config, 4, objective)
+        assert gan_mod.DROPOUT > 0.0
+        assert model.loss_history == oracle.loss_history
+        for net, ref in ((model.generator, oracle.generator), (model.discriminator, oracle.discriminator)):
+            for a, b in zip(net.parameters(), ref.parameters(), strict=True):
+                assert np.array_equal(a, b)
+        assert np.array_equal(generate_minority(model, 16, seed=5), generate_minority(oracle, 16, seed=5))
+
+    def test_trained_layers_still_view_their_vectors(self):
+        model = train_sdg_gan(scaled_toy(), tiny_config(2), seed=0)
+        for net in (model.generator, model.discriminator):
+            params = net.parameters()
+            assert all(np.shares_memory(p, net.vector) for p in params)
+            assert np.array_equal(net.vector, np.concatenate([p.ravel() for p in params]))
 
 
 class TestGenerateMinority:

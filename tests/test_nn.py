@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -206,69 +207,142 @@ class TestBackward:
             nn.backward(net, cache, np.zeros((1, 1)))
 
 
+class TestParameterVector:
+    def test_every_layer_array_views_the_vector(self):
+        for net in (
+            nn.init_network([(3, 5), (5, 2)], ["relu", "sigmoid"], seed=0),
+            hand_net(),
+            copy.deepcopy(hand_net()),
+        ):
+            params = net.parameters()
+            assert all(np.shares_memory(p, net.vector) for p in params)
+            assert np.array_equal(net.vector, np.concatenate([p.ravel() for p in params]))
+            assert net.vector.size == sum(p.size for p in params)
+
+    def test_networks_over_existing_layers_never_detach_the_parent(self):
+        # a prefix or a rebuilt network copies the layers it is given, so the
+        # parent's layers stay on the vector its optimizer updates
+        net = nn.init_network([(3, 6), (6, 4), (4, 1)], ["relu", "relu", "sigmoid"], seed=0)
+        opt = nn.AdamState(net.vector, learning_rate=0.1)
+        layers, arrays = list(net.layers), net.parameters()
+        x = np.random.default_rng(1).random((5, 3))
+        prefix = nn.MLPNetwork(net.layers[:2])
+        again = nn.MLPNetwork(net.layers)
+        other = nn.init_network([(3, 6), (6, 4), (4, 1)], ["relu", "relu", "sigmoid"], seed=1)
+        mixed = nn.MLPNetwork([other.layers[0], net.layers[1], other.layers[2]])
+        assert np.array_equal(nn.forward(prefix, x)[0], nn.forward(net, x, depth=2)[0])
+        assert np.array_equal(nn.forward(again, x)[0], nn.forward(net, x)[0])
+        assert np.array_equal(mixed.layers[1].weights, net.layers[1].weights)
+        for built in (prefix, again, mixed):
+            assert not np.shares_memory(built.vector, net.vector)
+            assert not any(ly is given for ly in built.layers for given in layers)
+        assert all(a is b for a, b in zip(net.layers, layers))
+        assert all(a is b for a, b in zip(net.parameters(), arrays))
+        assert all(np.shares_memory(p, opt.params) for p in net.parameters())
+        assert all(np.shares_memory(p, other.vector) for p in other.parameters())
+        before = nn.forward(net, x)[0]
+        nn.adam_step(opt, np.ones(net.vector.size))
+        assert not np.array_equal(nn.forward(net, x)[0], before)
+        assert np.array_equal(nn.forward(again, x)[0], before)
+
+    def test_adam_state_needs_a_float64_vector(self):
+        net = hand_net()
+        with pytest.raises(TypeError):
+            nn.AdamState(net.parameters())
+
+
+class TestSkippedGradients:
+    @pytest.mark.parametrize("rng", [None, 3], ids=["no-dropout", "dropout"])
+    def test_input_gradient_without_parameter_gradients(self, rng):
+        net = nn.init_network([(4, 8), (8, 6), (6, 2)], ["relu", "tanh", "sigmoid"], dropout_rate=0.3, seed=2)
+        x = np.random.default_rng(0).random((7, 4))
+        out, cache = nn.forward(net, x, rng)
+        assert (cache.masks[0] is None) == (rng is None)
+        grad = np.random.default_rng(1).standard_normal(out.shape)
+        full_grads, full = nn.backward(net, cache, grad)
+        none, skipped = nn.backward(net, cache, grad, param_grads=False)
+        assert none is None and full_grads is not None
+        assert np.array_equal(skipped, full)
+
+    def test_prefix_pass_matches_a_prefix_network(self):
+        net = nn.init_network([(4, 8), (8, 6), (6, 2)], ["relu", "tanh", "sigmoid"], seed=5)
+        prefix = nn.MLPNetwork(net.layers[:2])
+        x = np.random.default_rng(0).random((3, 4))
+        out, cache = nn.forward(net, x, depth=2)
+        ref_out, ref_cache = nn.forward(prefix, x)
+        assert np.array_equal(out, ref_out) and len(cache.pre) == 2
+        grad = np.ones_like(out)
+        grads, input_grad = nn.backward(net, cache, grad)
+        ref_grads, ref_input_grad = nn.backward(prefix, ref_cache, grad)
+        assert np.array_equal(input_grad, ref_input_grad)
+        assert np.array_equal(grads.vector, ref_grads.vector)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        before = [p.copy() for p in params]
+        params = np.array([1.0, -2.0, 3.0])
+        before = params.copy()
         state = nn.AdamState(params, learning_rate=0.1)
-        nn.adam_step(state, [np.zeros(2), np.zeros((1, 1))])
-        assert np.array_equal(params[0], before[0]) and np.array_equal(params[1], before[1])
+        nn.adam_step(state, np.zeros(3))
+        assert np.array_equal(params, before)
         assert state.t == 1
 
     def test_first_step_magnitude(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = nn.AdamState(params, learning_rate=1e-4)
-        nn.adam_step(state, [np.array([1.0])])
-        delta = params[0][0] - 0.0
+        nn.adam_step(state, np.array([1.0]))
+        delta = params[0] - 0.0
         assert abs(delta + 1e-4) < 1e-9
 
     def test_in_place_update_matches_textbook_adam(self):
+        # per-array textbook Adam against the one in-place update of the vector
         rng = np.random.default_rng(0)
-        params = [rng.standard_normal((3, 4)), rng.standard_normal(4)]
+        net = nn.init_network([(3, 4)], ["identity"], seed=rng)
+        params = net.parameters()
         expected = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        state = nn.AdamState(params, learning_rate=lr)
-        live = list(params)
+        state = nn.AdamState(net.vector, learning_rate=lr)
         for t in range(1, 6):
             grads = [rng.standard_normal(p.shape) for p in params]
-            assert nn.adam_step(state, grads) is None
+            assert nn.adam_step(state, np.concatenate([g.ravel() for g in grads])) is None
             for i, g in enumerate(grads):
                 m[i] = b1 * m[i] + (1.0 - b1) * g
                 v[i] = b2 * v[i] + (1.0 - b2) * g * g
                 m_hat = m[i] / (1.0 - b1**t)
                 v_hat = v[i] / (1.0 - b2**t)
                 expected[i] = expected[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert net.parameters()[0] is params[0] and net.parameters()[1] is params[1]
             for i in range(len(params)):
-                assert params[i] is live[i]
                 assert np.array_equal(params[i], expected[i])
-                assert np.array_equal(state.m[i], m[i]) and np.array_equal(state.v[i], v[i])
+            assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m]))
+            assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v]))
 
     def test_integer_weights_are_trainable(self):
         net = nn.MLPNetwork([nn.Layer(np.array([[1]]), np.array([0]), "identity")])
         out, cache = nn.forward(net, np.ones((2, 1)))
         grads, _ = nn.backward(net, cache, out)
-        nn.adam_step(nn.AdamState(net.parameters(), learning_rate=0.1), grads)
+        nn.adam_step(nn.AdamState(net.vector, learning_rate=0.1), grads.vector)
         assert net.layers[0].weights.dtype == np.float64
         assert net.layers[0].weights[0, 0] == pytest.approx(0.9)
 
     @pytest.mark.parametrize(
         "bad_grads",
-        [[np.ones(2)], [np.ones(2), np.ones((2, 1))]],
+        [np.ones(2), np.ones((3, 1))],
         ids=["wrong-length", "wrong-shape"],
     )
     def test_shape_mismatch(self, bad_grads):
         # rejected input leaves the step counter, parameters and moments as they were
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        params = np.array([1.0, -2.0, 3.0])
         state = nn.AdamState(params, learning_rate=0.1)
-        nn.adam_step(state, [np.array([0.5, -0.5]), np.array([[2.0]])])
-        before = [[a.copy() for a in arrays] for arrays in (state.params, state.m, state.v)]
+        nn.adam_step(state, np.array([0.5, -0.5, 2.0]))
+        before = [a.copy() for a in (state.params, state.m, state.v)]
         with pytest.raises(DimensionMismatchError):
             nn.adam_step(state, bad_grads)
         assert state.t == 1
-        for arrays, saved in zip((state.params, state.m, state.v), before):
-            assert all(np.array_equal(a, b) for a, b in zip(arrays, saved))
+        for a, saved in zip((state.params, state.m, state.v), before):
+            assert np.array_equal(a, saved)
 
 
 class TestBceLoss:
