@@ -200,8 +200,9 @@ def run_benchmark(
     """Execute the full grid and average metrics over runs.
 
     ``loaded`` short-circuits CSV loading for datasets already in memory
-    (keyed by config dataset name). A failing cell is recorded in
-    report.failures; the rest of the grid still completes.
+    (keyed by config dataset name; any other key is rejected before anything
+    loads). A failing cell is recorded in report.failures; the rest of the
+    grid still completes.
     """
     # imported on each call so a wrapper installed on data.load_csv, as
     # perfbench's tracer installs one, sees every load; a module-level
@@ -211,6 +212,9 @@ def run_benchmark(
     config.validate()
     if max_workers < 1:
         raise ConfigInvalidError(f"workers must be >= 1, got {max_workers}")
+    unknown = sorted(set(loaded or ()) - {name for name, _, _ in config.datasets})
+    if unknown:
+        raise ConfigInvalidError(f"loaded datasets {unknown} are not in the config")
     datasets: dict[str, Dataset] = {}
     for name, path, label_col in config.datasets:
         if loaded and name in loaded:

@@ -374,8 +374,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
             idx = perm[start : start + spec.batch_size]
             out, cache = nn.forward(net, x[idx], rng)
             _, grad = nn.bce_loss(out[:, 0], y[idx])
-            grads, _ = nn.backward(net, cache, grad.reshape(-1, 1))
-            nn.adam_step(opt, grads.vector)
+            nn.adam_step(opt, nn.backward(net, cache, grad.reshape(-1, 1))[0])
     return MLPModel(net)
 
 

@@ -174,9 +174,10 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
 
 
 def read_utf8(path: str | os.PathLike) -> str:
-    """A UTF-8 file's text; a byte that does not decode raises UnicodeDecodeError naming the file."""
+    """A UTF-8 file's text, without a leading byte-order mark; a byte that
+    does not decode raises UnicodeDecodeError naming the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         exc.reason += f" in file {path}"
         raise

@@ -147,16 +147,14 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
             # discriminator on real rows, target 1
             d_out, d_cache = nn.forward(disc, real_in, rng)
             loss_real, d_grad = nn.bce_loss(d_out[:, 0], ones[:b])
-            grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            nn.adam_step(disc_opt, grads.vector)
+            nn.adam_step(disc_opt, nn.backward(disc, d_cache, d_grad.reshape(-1, 1))[0])
 
             # discriminator on generated rows (same label mix), target 0
             gen_in[:, :noise_dim] = rng.standard_normal((b, noise_dim))
             fake_in[:, :n_feat] = nn.forward(gen, gen_in)[0]
             d_out, d_cache = nn.forward(disc, fake_in, rng)
             loss_fake, d_grad = nn.bce_loss(d_out[:, 0], zeros[:b])
-            grads, _ = nn.backward(disc, d_cache, d_grad.reshape(-1, 1))
-            nn.adam_step(disc_opt, grads.vector)
+            nn.adam_step(disc_opt, nn.backward(disc, d_cache, d_grad.reshape(-1, 1))[0])
 
             # generator step: fresh noise, labels matching the real batch; the
             # discriminator's parameter gradients are not needed
@@ -170,8 +168,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
                 g_loss, d_grad = nn.bce_loss(d_out[:, 0], ones[:b])
                 _, fake_in_grad = nn.backward(disc, d_cache, d_grad.reshape(-1, 1), param_grads=False)
             fake_grad = fake_in_grad[:, :n_feat]  # label column is not learned
-            grads, _ = nn.backward(gen, g_cache, fake_grad)
-            nn.adam_step(gen_opt, grads.vector)
+            nn.adam_step(gen_opt, nn.backward(gen, g_cache, fake_grad)[0])
 
             d_losses.append(0.5 * (loss_real + loss_fake))
             g_losses.append(g_loss)

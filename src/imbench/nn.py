@@ -99,10 +99,6 @@ class MLPNetwork:
     def output_dim(self) -> int:
         return self.layers[-1].weights.shape[1]
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat list [W0, b0, W1, b1, ...] referencing live arrays."""
-        return [a for ly in self.layers for a in (ly.weights, ly.bias)]
-
 
 def init_network(layer_dims, activations, dropout_rate: float = 0.0, seed=0) -> MLPNetwork:
     """Glorot-uniform weights, zero biases.
@@ -149,13 +145,15 @@ def forward(
     dropout (mask / (1 - rate)) is applied to every hidden layer's output,
     drawn from ``rng``. Without one it is an inference pass, dropout-free.
     Given ``depth``, only the first ``depth`` layers run (a prefix pass), and
-    the output is theirs.
+    the output is theirs; ``depth`` must be in 1..len(net.layers).
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"batch shape {x.shape} incompatible with input dim {net.input_dim}"
         )
+    if depth is not None and not 1 <= depth <= len(net.layers):
+        raise IndexError(f"depth {depth} out of range 1..{len(net.layers)}")
     if rng is not None:
         rng = np.random.default_rng(rng)
     inputs, pres, posts, masks = [], [], [], []
@@ -178,26 +176,17 @@ def forward(
     return x, ForwardCache(inputs, pres, posts, masks)
 
 
-class ParamGrads(list):
-    """[dW0, db0, dW1, db1, ...] for the first layers of a network: shaped
-    views into one vector, ``vector``, laid out as ``MLPNetwork.vector``."""
-
-    def __init__(self, layers):
-        self.vector = np.empty(sum(ly.weights.size + ly.bias.size for ly in layers))
-        super().__init__(_views(layers, self.vector))
-
-
 def backward(
     net: MLPNetwork, cache: ForwardCache, output_gradient: np.ndarray, param_grads: bool = True
-) -> tuple[ParamGrads | None, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Reverse accumulation through the cached pass, over the layers it ran.
 
-    Returns (param_grads, input_grad) where param_grads is a ParamGrads
-    matching net.parameters() (its first entries, after a prefix pass), or
-    None when ``param_grads`` is false: a caller that needs only the input
-    gradient skips the weight and bias products. Dropout masks recorded in
-    the cache are reused, so gradients match the exact forward pass they
-    came from.
+    Returns (grad, input_grad) where grad is the parameter gradient as one
+    vector laid out like ``net.vector`` (its first entries, after a prefix
+    pass), or None when ``param_grads`` is false: a caller that needs only
+    the input gradient skips the weight and bias products. Dropout masks
+    recorded in the cache are reused, so gradients match the exact forward
+    pass they came from.
     """
     depth = len(cache.pre)
     if depth > len(net.layers) or len(cache.inputs) != depth:
@@ -207,17 +196,21 @@ def backward(
         raise CacheMismatchError(
             f"output gradient shape {delta.shape} != output shape {cache.post[-1].shape}"
         )
-    grads = ParamGrads(net.layers[:depth]) if param_grads else None
+    grad = None
+    if param_grads:
+        ran = net.layers[:depth]
+        grad = np.empty(sum(ly.weights.size + ly.bias.size for ly in ran))
+        views = _views(ran, grad)
     for i in range(depth - 1, -1, -1):
         ly = net.layers[i]
         if cache.masks[i] is not None:
             delta = delta * cache.masks[i]
         dz = delta * ACTIVATIONS[ly.activation][1](cache.pre[i], cache.post[i])
-        if grads is not None:
-            np.matmul(cache.inputs[i].T, dz, out=grads[2 * i])
-            dz.sum(axis=0, out=grads[2 * i + 1])
+        if grad is not None:
+            np.matmul(cache.inputs[i].T, dz, out=views[2 * i])
+            dz.sum(axis=0, out=views[2 * i + 1])
         delta = dz @ ly.weights.T
-    return grads, delta
+    return grad, delta
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -244,8 +237,8 @@ class AdamState:
 def adam_step(state: AdamState, grad: np.ndarray) -> None:
     """One bias-corrected Adam update of ``state.params``, ``state.m`` and
     ``state.v`` in place, from a gradient vector laid out like
-    ``state.params`` (``ParamGrads.vector`` of a backward pass through the
-    same network). Input that does not match is rejected before anything
+    ``state.params`` (the gradient a backward pass through the same network
+    returns). Input that does not match is rejected before anything
     changes."""
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != state.params.shape:

@@ -195,6 +195,17 @@ class TestRunBenchmark:
             run_benchmark(replace(config, **change), max_workers=workers)
         assert cells == []
 
+    def test_loaded_names_must_be_configured(self, monkeypatch):
+        # a mistyped key is named before any file loads or any cell runs
+        calls = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr("imbench.data.load_csv", lambda *a: calls.append(a))
+        config = ExperimentConfig(datasets=(("a", "", ""),), samplers=("none",), classifiers=("logreg",), runs=1)
+        loaded = {"a": trivially_separable(), "A": trivially_separable()}
+        with pytest.raises(ConfigInvalidError, match=r"\['A'\] are not in the config"):
+            run_benchmark(config, loaded=loaded)
+        assert calls == []
+
     def test_seed_derivation_is_stable(self):
         assert stable_seed(1, "a", 2) == stable_seed(1, "a", 2)
         assert stable_seed(1, "a", 2) != stable_seed(1, "a", 3)

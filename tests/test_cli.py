@@ -291,6 +291,35 @@ class TestRunCommand:
         assert str(bad) in err
         assert cells == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("which", ["config", "dataset", "rank"])
+    def test_utf8_bom_is_ignored(self, tmp_path, which):
+        # a leading byte-order mark is dropped: each input runs as its copy
+        # without one does, to the same output bytes
+        csv_path = write_toy_csv(tmp_path)
+        if which == "config":
+            text = f"dataset = toy, {csv_path}, y\nsamplers = none, ros\nclassifiers = logreg\nruns = 1\n"
+            flags, out_flag = ["run", "--config"], "--out-dir"
+        elif which == "dataset":
+            # label first, where a kept mark would stick to its name
+            rows = [line.split(",") for line in Path(csv_path).read_text(encoding="utf-8").splitlines()]
+            text = "".join(",".join(r[-1:] + r[:-1]) + "\n" for r in rows)
+            assert text.startswith("y,")
+            flags = ["run", "--label-col", "y", "--samplers", "none,ros", "--classifiers", "logreg", "--runs", "1"]
+            flags, out_flag = flags + ["--dataset"], "--out-dir"
+        else:
+            text = "dataset,classifier,sampler,f1\nd1,c1,A,0.9\nd1,c1,B,0.5\n"
+            flags, out_flag = ["rank", "--f1-table"], "--out"
+        outputs = []
+        for tag, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            (tmp_path / tag).mkdir()
+            src = tmp_path / tag / "input.csv"
+            src.write_bytes(mark + text.encode("utf-8"))
+            out = tmp_path / tag / "out"
+            assert cli.main(flags + [str(src), out_flag, str(out)]) == 0
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            outputs.append([(f.name, f.read_bytes()) for f in files])
+        assert outputs[0] == outputs[1] and outputs[0]
+
     @pytest.mark.parametrize(
         "flags, cfg_line, message",
         [

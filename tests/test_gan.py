@@ -18,6 +18,8 @@ from imbench.gan import (
     train_sdg_gan,
 )
 
+from test_nn import layer_arrays
+
 
 def scaled_toy(n_min=6, n_maj=18, n_features=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -194,13 +196,15 @@ def textbook_train(train, config, seed, objective):
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, gan_mod.LEARNING_RATE
     rng = np.random.default_rng(seed)
     gen, disc = gan_mod._build_networks(train.n_features, config, rng)
-    moments = {id(p): [np.zeros_like(p), np.zeros_like(p)] for net in (gen, disc) for p in net.parameters()}
+    moments = {id(p): [np.zeros_like(p), np.zeros_like(p)] for net in (gen, disc) for p in layer_arrays(net)}
     steps = {id(gen): 0, id(disc): 0}
 
-    def adam(net, grads):
+    def adam(net, grad):
         steps[id(net)] += 1
         t = steps[id(net)]
-        for p, g in zip(net.parameters(), grads):
+        ends = np.cumsum([p.size for p in layer_arrays(net)])
+        for p, g in zip(layer_arrays(net), np.split(grad, ends[:-1]), strict=True):
+            g = g.reshape(p.shape)
             mv = moments[id(p)]
             mv[0] = b1 * mv[0] + (1.0 - b1) * g
             mv[1] = b2 * mv[1] + (1.0 - b2) * g * g
@@ -257,14 +261,13 @@ class TestTextbookOracle:
         assert gan_mod.DROPOUT > 0.0
         assert model.loss_history == oracle.loss_history
         for net, ref in ((model.generator, oracle.generator), (model.discriminator, oracle.discriminator)):
-            for a, b in zip(net.parameters(), ref.parameters(), strict=True):
-                assert np.array_equal(a, b)
+            assert np.array_equal(net.vector, ref.vector)
         assert np.array_equal(generate_minority(model, 16, seed=5), generate_minority(oracle, 16, seed=5))
 
     def test_trained_layers_still_view_their_vectors(self):
         model = train_sdg_gan(scaled_toy(), tiny_config(2), seed=0)
         for net in (model.generator, model.discriminator):
-            params = net.parameters()
+            params = layer_arrays(net)
             assert all(np.shares_memory(p, net.vector) for p in params)
             assert np.array_equal(net.vector, np.concatenate([p.ravel() for p in params]))
 

@@ -11,30 +11,31 @@ from imbench.errors import CacheMismatchError, DimensionMismatchError
 
 def finite_difference_grads(net, batch, target, h=1e-5, rng=None):
     """Central differences of L = 0.5 * sum((forward(net, batch, rng) - target)^2)
-    w.r.t. every parameter entry. Independent of backward()."""
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        flat = p.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            out_p, _ = nn.forward(net, batch, rng)
-            loss_p = 0.5 * np.sum((out_p - target) ** 2)
-            flat[i] = orig - h
-            out_m, _ = nn.forward(net, batch, rng)
-            loss_m = 0.5 * np.sum((out_m - target) ** 2)
-            flat[i] = orig
-            gflat[i] = (loss_p - loss_m) / (2 * h)
-        grads.append(g)
+    w.r.t. every entry of net.vector, laid out like it. Independent of backward()."""
+    flat = net.vector
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        out_p, _ = nn.forward(net, batch, rng)
+        loss_p = 0.5 * np.sum((out_p - target) ** 2)
+        flat[i] = orig - h
+        out_m, _ = nn.forward(net, batch, rng)
+        loss_m = 0.5 * np.sum((out_m - target) ** 2)
+        flat[i] = orig
+        grads[i] = (loss_p - loss_m) / (2 * h)
     return grads
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4):
-    for a, f in zip(analytic, numeric):
-        denom = np.maximum(np.abs(a) + np.abs(f), 1e-8)
-        assert np.max(np.abs(a - f) / denom) < rtol
+    assert analytic.shape == numeric.shape
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
+    assert np.max(np.abs(analytic - numeric) / denom) < rtol
+
+
+def layer_arrays(net):
+    """[W0, b0, W1, b1, ...]: each layer's live weight and bias arrays."""
+    return [a for ly in net.layers for a in (ly.weights, ly.bias)]
 
 
 class TestInitNetwork:
@@ -107,6 +108,15 @@ class TestForward:
         with pytest.raises(DimensionMismatchError):
             nn.forward(net, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("depth", [-1, 0, 4, 99])
+    def test_depth_outside_the_layers_rejected(self, depth):
+        # a prefix pass runs 1..3 of these 3 layers; nothing else silently
+        # runs a different prefix or leaves backward an empty cache
+        net = nn.init_network([(2, 3), (3, 3), (3, 1)], ["relu", "relu", "sigmoid"], seed=0)
+        with pytest.raises(IndexError, match=f"depth {depth} out of range 1..3"):
+            nn.forward(net, np.zeros((2, 2)), depth=depth)
+        assert np.array_equal(nn.forward(net, np.ones((2, 2)), depth=3)[0], nn.forward(net, np.ones((2, 2)))[0])
+
     def test_output_rows_match_batch_rows(self):
         net = hand_net()
         for rows in (1, 7, 32):
@@ -145,7 +155,7 @@ class TestBackward:
         x = np.random.default_rng(0).random((4, 2))
         out, cache = nn.forward(net, x)
         grads, input_grad = nn.backward(net, cache, np.zeros_like(out))
-        assert all(np.all(g == 0.0) for g in grads)
+        assert grads.shape == net.vector.shape and np.all(grads == 0.0)
         assert np.all(input_grad == 0.0)
 
     def test_single_linear_neuron_squared_error(self):
@@ -156,7 +166,7 @@ class TestBackward:
         out, cache = nn.forward(net, x)
         grads, _ = nn.backward(net, cache, 2.0 * (out - y))
         expected = 2.0 * (0.8 * 1.5 - 2.0) * 1.5
-        assert grads[0][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert grads[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_finite_differences_three_layer(self):
         rng = np.random.default_rng(3)
@@ -214,7 +224,7 @@ class TestParameterVector:
             hand_net(),
             copy.deepcopy(hand_net()),
         ):
-            params = net.parameters()
+            params = layer_arrays(net)
             assert all(np.shares_memory(p, net.vector) for p in params)
             assert np.array_equal(net.vector, np.concatenate([p.ravel() for p in params]))
             assert net.vector.size == sum(p.size for p in params)
@@ -224,7 +234,7 @@ class TestParameterVector:
         # parent's layers stay on the vector its optimizer updates
         net = nn.init_network([(3, 6), (6, 4), (4, 1)], ["relu", "relu", "sigmoid"], seed=0)
         opt = nn.AdamState(net.vector, learning_rate=0.1)
-        layers, arrays = list(net.layers), net.parameters()
+        layers, arrays = list(net.layers), layer_arrays(net)
         x = np.random.default_rng(1).random((5, 3))
         prefix = nn.MLPNetwork(net.layers[:2])
         again = nn.MLPNetwork(net.layers)
@@ -237,9 +247,9 @@ class TestParameterVector:
             assert not np.shares_memory(built.vector, net.vector)
             assert not any(ly is given for ly in built.layers for given in layers)
         assert all(a is b for a, b in zip(net.layers, layers))
-        assert all(a is b for a, b in zip(net.parameters(), arrays))
-        assert all(np.shares_memory(p, opt.params) for p in net.parameters())
-        assert all(np.shares_memory(p, other.vector) for p in other.parameters())
+        assert all(a is b for a, b in zip(layer_arrays(net), arrays))
+        assert all(np.shares_memory(p, opt.params) for p in layer_arrays(net))
+        assert all(np.shares_memory(p, other.vector) for p in layer_arrays(other))
         before = nn.forward(net, x)[0]
         nn.adam_step(opt, np.ones(net.vector.size))
         assert not np.array_equal(nn.forward(net, x)[0], before)
@@ -248,7 +258,7 @@ class TestParameterVector:
     def test_adam_state_needs_a_float64_vector(self):
         net = hand_net()
         with pytest.raises(TypeError):
-            nn.AdamState(net.parameters())
+            nn.AdamState(layer_arrays(net))
 
 
 class TestSkippedGradients:
@@ -275,7 +285,7 @@ class TestSkippedGradients:
         grads, input_grad = nn.backward(net, cache, grad)
         ref_grads, ref_input_grad = nn.backward(prefix, ref_cache, grad)
         assert np.array_equal(input_grad, ref_input_grad)
-        assert np.array_equal(grads.vector, ref_grads.vector)
+        assert np.array_equal(grads, ref_grads)
 
 
 class TestAdam:
@@ -298,7 +308,7 @@ class TestAdam:
         # per-array textbook Adam against the one in-place update of the vector
         rng = np.random.default_rng(0)
         net = nn.init_network([(3, 4)], ["identity"], seed=rng)
-        params = net.parameters()
+        params = layer_arrays(net)
         expected = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
@@ -313,7 +323,7 @@ class TestAdam:
                 m_hat = m[i] / (1.0 - b1**t)
                 v_hat = v[i] / (1.0 - b2**t)
                 expected[i] = expected[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert net.parameters()[0] is params[0] and net.parameters()[1] is params[1]
+            assert all(a is b for a, b in zip(layer_arrays(net), params, strict=True))
             for i in range(len(params)):
                 assert np.array_equal(params[i], expected[i])
             assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m]))
@@ -323,7 +333,7 @@ class TestAdam:
         net = nn.MLPNetwork([nn.Layer(np.array([[1]]), np.array([0]), "identity")])
         out, cache = nn.forward(net, np.ones((2, 1)))
         grads, _ = nn.backward(net, cache, out)
-        nn.adam_step(nn.AdamState(net.vector, learning_rate=0.1), grads.vector)
+        nn.adam_step(nn.AdamState(net.vector, learning_rate=0.1), grads)
         assert net.layers[0].weights.dtype == np.float64
         assert net.layers[0].weights[0, 0] == pytest.approx(0.9)
 

@@ -87,12 +87,6 @@ class TestKnnQuery:
 
 
 class TestRandomOversample:
-    def test_balanced_input_untouched(self, make_dataset):
-        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
-        aug = random_oversample(ds, seed=0)
-        assert aug.n_synthetic == 0
-        assert np.array_equal(aug.data.features, ds.features)
-
     def test_two_versus_six(self, make_dataset):
         feats = [[float(i), float(i * i)] for i in range(8)]
         labels = [1, 1, 0, 0, 0, 0, 0, 0]
@@ -117,10 +111,6 @@ class TestRandomOversample:
 
 
 class TestSmote:
-    def test_balanced_input(self, make_dataset):
-        ds = make_dataset([[0.0], [1.0]], [0, 1])
-        assert smote(ds, seed=0).n_synthetic == 0
-
     def test_two_point_minority_stays_on_diagonal(self, make_dataset):
         ds = make_dataset(*DIAGONAL_PAIR)
         with pytest.warns(UserWarning):  # k=5 capped at 1
@@ -327,6 +317,21 @@ class TestSamplerInvariants:
             assert np.all(aug.data.labels[n:] == 1)
             assert aug.provenance[n:].all()
 
+    @pytest.mark.parametrize("n_each", [1, 3], ids=["1v1", "3v3"])
+    @pytest.mark.parametrize(
+        "sampler", [random_oversample, smote, borderline_smote, adasyn], ids=["ros", "smote", "b-smote", "adasyn"]
+    )
+    def test_balanced_input_untouched(self, make_dataset, sampler, n_each):
+        # parity returns the table before any k check: one minority row
+        # raises no MinorityTooSmallError, and k=5 over three rows warns of
+        # no k cap and no fallback
+        ds = make_dataset([[float(i)] for i in range(2 * n_each)], [1, 0] * n_each)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aug = sampler(ds, seed=0)
+        assert aug.n_synthetic == 0
+        assert np.array_equal(aug.data.features, ds.features)
+        assert np.array_equal(aug.data.labels, ds.labels)
 
     @pytest.mark.parametrize(
         "sampler, table, extra, fallbacks",
