@@ -10,8 +10,11 @@ change the report.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
+import ctypes
 import hashlib
+import importlib
 import os
 from dataclasses import dataclass, field
 
@@ -192,6 +195,57 @@ def _outcome(task):
         return exc
 
 
+# (getter, setter) of the OpenBLAS thread count, in the order tried: numpy 2
+# wheels, numpy 1.2x wheels, a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS numpy links, or None
+    when numpy links another BLAS or the lookup fails. dlsym on numpy's own
+    extension also searches the libraries it links, so no BLAS file name is
+    needed."""
+    # numpy 2 keeps the extension in numpy._core, numpy 1 in numpy.core
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError, AttributeError, TypeError):
+            continue
+    else:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, and restore the
+    caller's count however the block ends. A grid's products are too small
+    for OpenBLAS's split to shorten them, so its other threads only burn CPU.
+    Any other BLAS is left alone."""
+    control = _openblas_threads()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_benchmark(
     config: ExperimentConfig,
     loaded: dict[str, Dataset] | None = None,
@@ -231,10 +285,13 @@ def run_benchmark(
         for run_idx in range(config.runs)
     ]
     if max_workers > 1:
+        # BLAS threads stay as the caller set them: one BLAS thread per pool
+        # thread made the 2-worker grid slower
         with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(_outcome, tasks))
     else:
-        outcomes = list(map(_outcome, tasks))
+        with _one_blas_thread():
+            outcomes = list(map(_outcome, tasks))
 
     cells: dict[tuple[str, str, str], CellStats] = {}
     failures: dict[tuple[str, str, str], str] = {}

@@ -212,6 +212,92 @@ class TestRunBenchmark:
         assert stable_seed(0, "x") < 2**63
 
 
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS (get, set) with the count set to 2, as a caller
+    might set it; the count found is restored afterwards."""
+    control = bench._openblas_threads()
+    if control is None:
+        pytest.skip("numpy exposes no OpenBLAS thread control")
+    get, set_ = control
+    found = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS did not take a count of 2")
+        yield control
+    finally:
+        set_(found)
+
+
+class StopGrid(BaseException):
+    pass
+
+
+class TestBlasThreads:
+    config = ExperimentConfig(
+        datasets=(("toy", "", ""),), samplers=("none", "ros"), classifiers=("logreg",), runs=2, master_seed=5
+    )
+    loaded = {"toy": trivially_separable()}
+
+    def spy(self, monkeypatch, get, stop=False):
+        """Record the BLAS thread count each cell sees."""
+        seen = []
+        real = bench._run_one
+
+        def spy_run_one(args):
+            seen.append(get())
+            if stop:
+                raise StopGrid
+            return real(args)
+
+        monkeypatch.setattr(bench, "_run_one", spy_run_one)
+        return seen
+
+    @pytest.mark.parametrize("workers, cell_threads", [(1, 1), (2, 2)])
+    def test_only_a_sequential_grid_runs_on_one_thread(self, monkeypatch, blas_at_two, workers, cell_threads):
+        get, _ = blas_at_two
+        seen = self.spy(monkeypatch, get)
+        run_benchmark(self.config, loaded=self.loaded, max_workers=workers)
+        assert seen == [cell_threads] * 4
+        assert get() == 2
+
+    def test_count_restored_when_a_base_exception_leaves_a_cell(self, monkeypatch, blas_at_two):
+        get, _ = blas_at_two
+        seen = self.spy(monkeypatch, get, stop=True)
+        with pytest.raises(StopGrid):
+            run_benchmark(self.config, loaded=self.loaded)
+        assert seen == [1]
+        assert get() == 2
+
+    def test_grid_runs_as_before_without_thread_control(self, monkeypatch, blas_at_two):
+        get, _ = blas_at_two
+        pinned = run_benchmark(self.config, loaded=self.loaded)
+        monkeypatch.setattr(bench, "_openblas_threads", lambda: None)
+        seen = self.spy(monkeypatch, get)
+        assert run_benchmark(self.config, loaded=self.loaded) == pinned
+        assert seen == [2] * 4
+
+    def test_pinned_gan_cells_equal_unpinned(self, blas_at_two):
+        # the default GAN widths at batch 64 give products that OpenBLAS
+        # splits across threads when it may
+        get, _ = blas_at_two
+        ds = synth_dataset(100, 400, 8, 0.3, seed=0)
+        config = ExperimentConfig(
+            datasets=(("t", "", ""),),
+            samplers=("cgan", "sdg-gan"),
+            classifiers=("mlp",),
+            runs=1,
+            master_seed=3,
+            gan_config=TrainingConfig(epochs=2),
+        )
+        pinned = run_benchmark(config, loaded={"t": ds})
+        assert get() == 2
+        for s in config.samplers:
+            metrics = run_cell(ds, s, "mlp", stable_seed(3, "t", s, "mlp", 0), gan_config=config.gan_config)
+            assert pinned.cells[("t", s, "mlp")].mean == dict(zip(bench.METRICS, metrics))
+
+
 class TestGanRetry:
     def test_divergence_retries_once_then_fails(self, monkeypatch):
         import imbench.gan as gan_mod
