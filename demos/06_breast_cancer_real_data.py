@@ -42,7 +42,7 @@ config = ExperimentConfig(
     master_seed=7,
     gan_config=TrainingConfig(epochs=30),
 )
-report = run_benchmark(config, max_workers=4)
+report = run_benchmark(config)
 print(f"\n{'sampler':8s} {'classifier':10s} {'recall':>7s} {'precision':>10s} {'f1':>7s}")
 for (d, s, c) in sorted(report.cells):
     m = report.cells[(d, s, c)].mean

@@ -2,14 +2,12 @@
 
 Every cell seed is a stable SHA-256 hash of the master seed and the cell
 coordinates, so the whole benchmark is a pure function of (config, input
-files) and adding a sampler never perturbs the other cells. Cells may run
-concurrently; outcomes come back in task order, so scheduling order cannot
-change the report.
+files) and adding a sampler never perturbs the other cells. Cells run one
+after another, in task order, on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import ctypes
@@ -257,6 +255,10 @@ def run_benchmark(
     (keyed by config dataset name; any other key is rejected before anything
     loads). A failing cell is recorded in report.failures; the rest of the
     grid still completes.
+
+    ``max_workers`` (>= 1) is the most cells in flight, which a grid run in
+    order always meets: cells hold the GIL between numpy calls, so a thread
+    pool made the grid slower, not faster.
     """
     # imported on each call so a wrapper installed on data.load_csv, as
     # perfbench's tracer installs one, sees every load; a module-level
@@ -284,14 +286,8 @@ def run_benchmark(
         for classifier in config.classifiers
         for run_idx in range(config.runs)
     ]
-    if max_workers > 1:
-        # BLAS threads stay as the caller set them: one BLAS thread per pool
-        # thread made the 2-worker grid slower
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(_outcome, tasks))
-    else:
-        with _one_blas_thread():
-            outcomes = list(map(_outcome, tasks))
+    with _one_blas_thread():
+        outcomes = list(map(_outcome, tasks))
 
     cells: dict[tuple[str, str, str], CellStats] = {}
     failures: dict[tuple[str, str, str], str] = {}

@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gan-epochs", type=int, default=None, help="override GAN epochs (desk-scale runs)")
     run.add_argument("--out-dir", default=None)
     run.add_argument("--format", choices=("csv", "markdown"), default=None)
-    run.add_argument("--workers", type=int, default=1, help="concurrent cells")
+    run.add_argument("--workers", type=int, default=1, help="most cells in flight (>= 1); cells run one at a time")
     run.set_defaults(func=_cmd_run)
 
     synth = sub.add_parser("synth", help="write a synthetic two-Gaussian dataset")

@@ -1,7 +1,7 @@
 """Dataset ingestion, min-max scaling, stratified splitting, imbalance stats.
 
-All containers are frozen and their arrays marked read-only, so datasets can
-be shared across concurrently running benchmark cells without copying.
+All containers are frozen and their arrays marked read-only, so every cell
+of a grid shares one dataset without copying and none can change another's.
 Class 1 is always the minority/positive class internally; ``load_csv`` remaps
 raw label values so this holds.
 """

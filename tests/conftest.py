@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
+from imbench.bench import _one_blas_thread
 from imbench.data import Dataset
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Run every test on one OpenBLAS thread, as a grid runs its cells: the
+    trainers that tests call outside a grid would otherwise run OpenBLAS's
+    default threads, which only burn CPU at these sizes."""
+    with _one_blas_thread():
+        yield
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,29 @@ class TestRunBenchmark:
         par = run_benchmark(config, max_workers=4)
         assert seq.cells == par.cells
         assert seq.failures == par.failures
+
+    def test_workers_run_every_task_in_order_on_the_calling_thread(self, monkeypatch):
+        loaded = {"a": trivially_separable(), "b": trivially_separable()}
+        config = ExperimentConfig(
+            datasets=tuple((name, "", "") for name in loaded),
+            samplers=("none", "ros"),
+            classifiers=("logreg", "gbt"),
+            runs=2,
+        )
+        calls = []
+        real = bench._run_one
+
+        def spy_run_one(task):
+            name, _, sampler, classifier, run_idx, _ = task
+            calls.append((threading.get_ident(), (name, sampler, classifier, run_idx)))
+            return real(task)
+
+        monkeypatch.setattr(bench, "_run_one", spy_run_one)
+        run_benchmark(config, loaded=loaded, max_workers=4)
+        expected = [
+            (name, s, c, r) for name in loaded for s in config.samplers for c in config.classifiers for r in range(2)
+        ]
+        assert calls == [(threading.get_ident(), task) for task in expected]
 
     def test_cell_failure_is_isolated(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -254,8 +278,8 @@ class TestBlasThreads:
         monkeypatch.setattr(bench, "_run_one", spy_run_one)
         return seen
 
-    @pytest.mark.parametrize("workers, cell_threads", [(1, 1), (2, 2)])
-    def test_only_a_sequential_grid_runs_on_one_thread(self, monkeypatch, blas_at_two, workers, cell_threads):
+    @pytest.mark.parametrize("workers, cell_threads", [(1, 1), (2, 1)])
+    def test_every_grid_runs_on_one_blas_thread(self, monkeypatch, blas_at_two, workers, cell_threads):
         get, _ = blas_at_two
         seen = self.spy(monkeypatch, get)
         run_benchmark(self.config, loaded=self.loaded, max_workers=workers)
