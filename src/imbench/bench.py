@@ -14,6 +14,7 @@ import ctypes
 import hashlib
 import importlib
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,12 +186,23 @@ def _run_one(args):
 
 def _outcome(task):
     """The cell's result, or the Exception it raised; a failing cell does
-    not stop the grid. _run_one is looked up on each call, so a wrapper
-    installed on the module sees every cell."""
+    not stop the grid. Each warning the cell raises is issued again with the
+    cell's dataset, sampler, classifier and run in front. _run_one is looked
+    up on each call, so a wrapper installed on the module sees every cell."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _run_one(task)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+            result = exc
+    name, _, sampler, classifier, run_idx, _ = task
+    cell = f"{name}/{sampler}/{classifier}/run {run_idx}"
     try:
-        return _run_one(task)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        for w in caught:
+            warnings.warn_explicit(f"{cell}: {w.message}", w.category, w.filename, w.lineno)
+    except Warning as exc:  # a filter that makes warnings errors fails this cell only
         return exc
+    return result
 
 
 # (getter, setter) of the OpenBLAS thread count, in the order tried: numpy 2

@@ -24,6 +24,11 @@ def _require_both_classes(train: Dataset) -> None:
         raise SingleClassError("classifier training needs both classes present")
 
 
+def _check_depth(max_depth: int | None) -> None:
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
+
+
 @dataclass(frozen=True)
 class LogRegSpec:
     learning_rate: float = 0.1
@@ -136,12 +141,14 @@ def _presort(ranks: np.ndarray) -> np.ndarray:
     return np.argsort(ranks, axis=1, kind="stable").astype(np.int32)
 
 
-def _gini_cost(y: np.ndarray, order: np.ndarray) -> np.ndarray:
+def _gini_cost(w, wy, order: np.ndarray) -> np.ndarray:
     """Size-weighted Gini impurity of the two sides of the cut after each
-    sorted position but the last, per row of order."""
-    n = order.shape[1]
-    c1 = np.cumsum(y.take(order), axis=1)
-    n_left = np.arange(1.0, n)
+    sorted position but the last, per row of order; row r stands for w[r]
+    copies, wy[r] of them ones."""
+    n_left = np.cumsum(w.take(order), axis=1)
+    c1 = np.cumsum(wy.take(order), axis=1)
+    n = n_left[:, -1:]
+    n_left = n_left[:, :-1]
     n_right = n - n_left
     l1 = c1[:, :-1]
     r1 = c1[:, -1:] - l1
@@ -187,34 +194,43 @@ def _best_split(x, rows, features, cost, n_candidates=None, max_cost=math.inf):
     return None if best is None else best[1:]
 
 
-def _grow_tree(x, rows, leaf_value, find_split, max_depth) -> _Node:
+def _grow_tree(x, rows, leaf, max_depth) -> _Node:
     """Iterative, so unlimited depth cannot hit the recursion limit. A node
-    with rows idx (ascending) gets leaf_value(idx), then, unless it has
-    under 2 rows or is at max_depth (None: unlimited), the (feature,
-    threshold) of find_split(idx, the presort rows of x filtered to idx) or
-    None for a leaf. Rows with x[:, feature] < threshold go left; right
-    children are grown first, which fixes the order of random draws."""
-    root = _Node()
+    with rows idx (ascending) gets (value, search) = leaf(idx) when it is
+    made; search is None if it cannot split, else search(the presort rows
+    of x filtered to idx) gives the (feature, threshold) or None for a leaf.
+    Only a node with a search and under max_depth (None: unlimited) gets its
+    presort rows. Rows with x[:, feature] < threshold go left; right
+    children search first, which fixes the order of random draws."""
+
+    def make(idx, depth):
+        """(node, idx, depth, search); search is None when the node stays a leaf."""
+        node = _Node()
+        node.value, search = leaf(idx)
+        if max_depth is not None and depth >= max_depth:
+            search = None
+        return node, idx, depth, search
+
     goes_left = np.zeros(x.shape[0], dtype=bool)
-    stack = [(root, np.arange(x.shape[0]), rows, 0)]
+    root = make(np.arange(x.shape[0]), 0)
+    stack = [(root, rows)] if root[3] else []
     while stack:
-        node, idx, rows, depth = stack.pop()
-        node.value = leaf_value(idx)
-        if idx.size < 2 or (max_depth is not None and depth >= max_depth):
-            continue
-        split = find_split(idx, rows)
+        (node, idx, depth, search), rows = stack.pop()
+        split = search(rows)
         if split is None:
             continue
         node.feature, node.threshold = split
         mask = x[idx, node.feature] < node.threshold
-        # a stable partition keeps each feature's rows sorted
-        goes_left[idx] = mask
-        sel = goes_left.take(rows).ravel()
-        shape = (rows.shape[0], -1)
-        node.left, node.right = _Node(), _Node()
-        stack.append((node.left, idx[mask], np.compress(sel, rows).reshape(shape), depth + 1))
-        stack.append((node.right, idx[~mask], np.compress(~sel, rows).reshape(shape), depth + 1))
-    return root
+        left, right = make(idx[mask], depth + 1), make(idx[~mask], depth + 1)
+        node.left, node.right = left[0], right[0]
+        if left[3] or right[3]:
+            # a stable partition keeps each feature's rows sorted
+            goes_left[idx] = mask
+            sel = goes_left.take(rows).ravel()
+            for child, keep in ((left, sel), (right, ~sel)):
+                if child[3]:
+                    stack.append((child, np.compress(keep, rows).reshape(rows.shape[0], -1)))
+    return root[0]
 
 
 def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
@@ -236,24 +252,25 @@ def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
 # CART / random forest
 
 
-def _cart_tree(x, y, rows, rng, spec: ForestSpec, n_candidates) -> _Node:
-    """CART on class labels over rows, the presort of x. Splits any impure
-    node with a valid cut, zero-gain ones too, so XOR-style data separates.
-    n_candidates limits how many non-constant features are evaluated per
-    node, in an order drawn from rng; None means all, in index order."""
+def _cart_tree(x, y, w, rows, rng, n_candidates, max_depth) -> _Node:
+    """CART on class labels over rows, the presort of x; row r stands for
+    w[r] copies. Splits any impure node with a valid cut, zero-gain ones
+    too, so XOR-style data separates. n_candidates limits how many
+    non-constant features are evaluated per node, in an order drawn from
+    rng; None means all, in index order."""
     features = np.arange(x.shape[1])
+    wy = w * y
+    cost = partial(_gini_cost, w, wy)
 
-    def leaf_value(idx):
-        return 1 if 2 * int(y[idx].sum()) >= idx.size else 0
-
-    def find_split(idx, rows):
-        ones = int(y[idx].sum())
-        if ones == 0 or ones == idx.size:
-            return None
+    def search(rows):
         order = features if n_candidates is None else rng.permutation(features.size)
-        return _best_split(x, rows, order, partial(_gini_cost, y), n_candidates)
+        return _best_split(x, rows, order, cost, n_candidates)
 
-    return _grow_tree(x, rows, leaf_value, find_split, spec.max_depth)
+    def leaf(idx):
+        n, ones = w[idx].sum(), wy[idx].sum()
+        return int(2 * ones >= n), (search if 0 < ones < n else None)
+
+    return _grow_tree(x, rows, leaf, max_depth)
 
 
 class ForestModel(TrainedClassifier):
@@ -273,16 +290,27 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
     """Gini CART trees on bootstrap resamples, majority-vote probability."""
     spec = spec or ForestSpec()
     _require_both_classes(train)
-    x, y, n = train.features, train.labels, train.n_rows
     if spec.max_features not in ("sqrt", None):
         raise ValueError(f"unknown max_features {spec.max_features!r}")
+    if spec.n_trees < 1:
+        raise ValueError(f"n_trees must be >= 1, got {spec.n_trees}")
+    _check_depth(spec.max_depth)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
-    ranks = _value_ranks(x)
+    ranks = _value_ranks(train.features)
+    # rows equal in every feature and the label fold into one distinct row,
+    # and each tree counts its draws per distinct row, as floats (exact, and
+    # the Gini cost then casts nothing)
+    keys = np.vstack([ranks, train.labels.astype(ranks.dtype)])
+    _, first, distinct = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+    x, y, ranks, n = train.features[first], train.labels[first], ranks[:, first], train.n_rows
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
         rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-        trees.append(_cart_tree(x[idx], y[idx], _presort(ranks[:, idx]), rng, spec, n_candidates))
+        draw = distinct[rng.integers(0, n, size=n)] if spec.bootstrap else distinct
+        w = np.bincount(draw, minlength=first.size).astype(np.float64)
+        held = np.flatnonzero(w)
+        rows = _presort(ranks[:, held])
+        trees.append(_cart_tree(x[held], y[held], w[held], rows, rng, n_candidates, spec.max_depth))
     return ForestModel(trees, train.n_features)
 
 
@@ -296,14 +324,13 @@ def _gbt_tree(x, g, h, max_depth, lam, rows) -> _Node:
     rows is the presort of x."""
     features = np.arange(x.shape[1])
 
-    def leaf_value(idx):
-        return -g[idx].sum() / (h[idx].sum() + lam)
+    def leaf(idx):
+        g_tot, h_tot = g[idx].sum(), h[idx].sum()
+        cost = partial(_neg_gain_cost, g, h, g_tot, h_tot, lam)
+        search = partial(_best_split, x, features=features, cost=cost, max_cost=-1e-12)
+        return -g_tot / (h_tot + lam), (search if idx.size >= 2 else None)
 
-    def find_split(idx, rows):
-        cost = partial(_neg_gain_cost, g, h, g[idx].sum(), h[idx].sum(), lam)
-        return _best_split(x, rows, features, cost, max_cost=-1e-12)
-
-    return _grow_tree(x, rows, leaf_value, find_split, max_depth)
+    return _grow_tree(x, rows, leaf, max_depth)
 
 
 class BoostedModel(TrainedClassifier):
@@ -326,6 +353,9 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     Hessian-weighted leaf values, initialized at the prior log-odds."""
     spec = spec or GBTSpec()
     _require_both_classes(train)
+    if spec.rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {spec.rounds}")
+    _check_depth(spec.max_depth)
     x, y = train.features, train.labels.astype(np.float64)
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))

@@ -1,4 +1,5 @@
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,26 @@ def small_config(tmp_path, ds, samplers=("none", "ros"), classifiers=("logreg",)
 
 
 class TestRunBenchmark:
+    def test_each_cell_warning_names_its_cell(self, tmp_path):
+        # 3 minority rows train, so each cell's SMOTE call caps k=5 at 2
+        config = small_config(
+            tmp_path, synth_dataset(4, 30, 3, 0.3), samplers=("smote",), classifiers=("logreg", "gbt"), runs=1
+        )
+        with pytest.warns(UserWarning) as record:
+            run_benchmark(config)
+        capped = [str(w.message) for w in record if "capped" in str(w.message)]
+        assert len(capped) == 2
+        assert capped[0].startswith("toy/smote/logreg/run 0: smote: k=5 capped at 2")
+        assert capped[1].startswith("toy/smote/gbt/run 0: smote: k=5 capped at 2")
+
+    def test_warnings_as_errors_fail_only_their_cell(self, tmp_path):
+        config = small_config(tmp_path, synth_dataset(4, 30, 3, 0.3), samplers=("none", "smote"), runs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_benchmark(config)
+        assert list(report.failures) == [("toy", "smote", "logreg")]
+        assert "capped" in report.failures[("toy", "smote", "logreg")]
+
     def test_single_run_zero_std(self, tmp_path):
         config = small_config(tmp_path, trivially_separable(), runs=1)
         report = run_benchmark(config)

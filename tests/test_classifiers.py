@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,10 @@ from imbench.classifiers import (
     _tree_apply,
     _value_ranks,
 )
+from imbench.bench import synth_dataset
 from imbench.data import Dataset
 from imbench.errors import DimensionMismatchError, SingleClassError
+from imbench.oversamplers import random_oversample
 
 
 def make(features, labels):
@@ -108,6 +113,21 @@ class TestRandomForest:
         with pytest.raises(SingleClassError):
             train_random_forest(ds)
 
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("max_features", ["sqrt", None])
+    def test_every_row_twice_grows_the_same_forest(self, max_features, max_depth):
+        # each valid cut's counts double exactly, so every Gini cost is bit-equal
+        for ds in digest_tables():
+            twice = make(np.vstack([ds.features, ds.features]), np.concatenate([ds.labels, ds.labels]))
+            spec = ForestSpec(n_trees=4, max_depth=max_depth, max_features=max_features, bootstrap=False, seed=5)
+            a, b = train_random_forest(ds, spec), train_random_forest(twice, spec)
+            assert [list(preorder(t)) for t in a.trees] == [list(preorder(t)) for t in b.trees]
+
+    @pytest.mark.parametrize("field, value", [("n_trees", 0), ("n_trees", -2), ("max_depth", -1)])
+    def test_invalid_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            train_random_forest(separable_1d(), ForestSpec(**{field: value}))
+
 
 class TestGBT:
     def test_zero_rounds_predicts_prior(self):
@@ -136,6 +156,11 @@ class TestGBT:
             hist.append(nn.bce_loss(nn.sigmoid(score), ds.labels)[0])
         assert len(hist) == 61
         assert np.all(np.diff(hist) <= 1e-12)
+
+    @pytest.mark.parametrize("field, value", [("rounds", -3), ("max_depth", -1)])
+    def test_invalid_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            train_gbt(separable_1d(), GBTSpec(**{field: value}))
 
     def test_depth_limit_respected(self):
         def depth(node):
@@ -305,6 +330,62 @@ class TestTreeRules:
                     values[r] = node.value
                 score = score + spec.learning_rate * values
         assert splits > 20
+
+
+def preorder(root):
+    """(feature, threshold, value) of each node, parent before left before right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node.feature, node.threshold, float(node.value)
+        if node.left is not None:
+            stack.extend((node.right, node.left))
+
+
+def tree_digest(models) -> str:
+    digest = hashlib.sha256()
+    for model in models:
+        for root in model.trees:
+            for node in preorder(root):
+                digest.update(struct.pack("<qdd", *node))
+    return digest.hexdigest()
+
+
+def digest_tables():
+    """A continuous table, the same table on a 0.25 grid, and the continuous
+    table balanced by ROS, whose copied minority rows are exact duplicates."""
+    ds = synth_dataset(30, 90, 5, 0.15, seed=3)
+    rounded = Dataset(np.round(ds.features * 4) / 4, ds.labels, ds.feature_names)
+    return ds, rounded, random_oversample(ds, seed=4).data
+
+
+class TestTreeDigest:
+    """Every tree the five specs grow on the three tables, hashed node by
+    node. The digests were recorded before forests grew on distinct rows
+    with copy counts, so any change to a split, a threshold, a leaf value
+    or the shape of a tree shows here. GBT leaf values are exact floats
+    through exp and sums, so a numpy build that rounds those differently
+    needs the digests recorded again."""
+
+    SPECS = {
+        "rf-default": ForestSpec(seed=11),
+        "rf-all-rows-all-features": ForestSpec(n_trees=10, bootstrap=False, max_features=None, seed=12),
+        "rf-depth-4": ForestSpec(n_trees=30, max_depth=4, seed=13),
+        "gbt-depth-3": GBTSpec(rounds=30),
+        "gbt-depth-5": GBTSpec(rounds=15, max_depth=5, learning_rate=0.3, l2=0.5),
+    }
+    DIGESTS = {
+        "gbt-depth-5": "0744015e2e64b82f08b0efd8d149706785493791eaf1e89563bc3e127ffb8822",
+        "gbt-depth-3": "7fe5bb0510266a8649a13b9491cb9dab16f5ce80016a5ac460cfd89a10ddb97b",
+        "rf-all-rows-all-features": "8dc64c7ea59414b974f3a5a0647cfb234ab08e0eecf8c9fea4b7b8b2eae7f786",
+        "rf-default": "7ff0d11da7de0d06a293c7dc8b6325c94c9b03a3fbdd38f52b4f0e9462b30325",
+        "rf-depth-4": "af480da24ad8703b6471306aadc4199569b9b4574ceb75c7ea05cef143dd67b1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_trees_hash_to_the_recorded_digest(self, name):
+        models = [train_classifier(table, self.SPECS[name]) for table in digest_tables()]
+        assert tree_digest(models) == self.DIGESTS[name]
 
 
 class TestMLP:
