@@ -186,22 +186,21 @@ def _run_one(args):
 
 def _outcome(task):
     """The cell's result, or the Exception it raised; a failing cell does
-    not stop the grid. Each warning the cell raises is issued again with the
-    cell's dataset, sampler, classifier and run in front. _run_one is looked
-    up on each call, so a wrapper installed on the module sees every cell."""
+    not stop the grid. The caller's warning filters act inside the cell as
+    on a direct call, so a filter that makes a warning an error fails the
+    cell at that warning. Each warning they let through is shown when the
+    cell ends, its text followed by the cell's dataset, sampler, classifier
+    and run. _run_one is looked up on each call, so a wrapper installed on
+    the module sees every cell."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         try:
             result = _run_one(task)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             result = exc
     name, _, sampler, classifier, run_idx, _ = task
-    cell = f"{name}/{sampler}/{classifier}/run {run_idx}"
-    try:
-        for w in caught:
-            warnings.warn_explicit(f"{cell}: {w.message}", w.category, w.filename, w.lineno)
-    except Warning as exc:  # a filter that makes warnings errors fails this cell only
-        return exc
+    for w in caught:
+        text = f"{w.message} [{name}/{sampler}/{classifier}/run {run_idx}]"
+        warnings.showwarning(text, w.category, w.filename, w.lineno)
     return result
 
 

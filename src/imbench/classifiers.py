@@ -204,33 +204,35 @@ def _grow_tree(x, rows, leaf, max_depth) -> _Node:
     children search first, which fixes the order of random draws."""
 
     def make(idx, depth):
-        """(node, idx, depth, search); search is None when the node stays a leaf."""
+        """(node, search); search is None when the node stays a leaf."""
         node = _Node()
         node.value, search = leaf(idx)
-        if max_depth is not None and depth >= max_depth:
-            search = None
-        return node, idx, depth, search
+        return node, (None if max_depth is not None and depth >= max_depth else search)
 
     goes_left = np.zeros(x.shape[0], dtype=bool)
-    root = make(np.arange(x.shape[0]), 0)
-    stack = [(root, rows)] if root[3] else []
+    idx = np.arange(x.shape[0])
+    root, search = make(idx, 0)
+    stack = [(root, idx, 0, search, rows)] if search else []
     while stack:
-        (node, idx, depth, search), rows = stack.pop()
+        node, idx, depth, search, rows = stack.pop()
         split = search(rows)
         if split is None:
             continue
         node.feature, node.threshold = split
         mask = x[idx, node.feature] < node.threshold
-        left, right = make(idx[mask], depth + 1), make(idx[~mask], depth + 1)
-        node.left, node.right = left[0], right[0]
-        if left[3] or right[3]:
+        left_idx, right_idx = idx[mask], idx[~mask]
+        node.left, left_search = make(left_idx, depth + 1)
+        node.right, right_search = make(right_idx, depth + 1)
+        if left_search or right_search:
             # a stable partition keeps each feature's rows sorted
             goes_left[idx] = mask
             sel = goes_left.take(rows).ravel()
-            for child, keep in ((left, sel), (right, ~sel)):
-                if child[3]:
-                    stack.append((child, np.compress(keep, rows).reshape(rows.shape[0], -1)))
-    return root[0]
+            shape = (rows.shape[0], -1)
+            if left_search:
+                stack.append((node.left, left_idx, depth + 1, left_search, np.compress(sel, rows).reshape(shape)))
+            if right_search:
+                stack.append((node.right, right_idx, depth + 1, right_search, np.compress(~sel, rows).reshape(shape)))
+    return root
 
 
 def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
@@ -296,18 +298,15 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
         raise ValueError(f"n_trees must be >= 1, got {spec.n_trees}")
     _check_depth(spec.max_depth)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
-    ranks = _value_ranks(train.features)
-    # rows equal in every feature and the label fold into one distinct row,
-    # and each tree counts its draws per distinct row, as floats (exact, and
-    # the Gini cost then casts nothing)
-    keys = np.vstack([ranks, train.labels.astype(ranks.dtype)])
-    _, first, distinct = np.unique(keys, axis=1, return_index=True, return_inverse=True)
-    x, y, ranks, n = train.features[first], train.labels[first], ranks[:, first], train.n_rows
+    x, y, n = train.features, train.labels, train.n_rows
+    ranks = _value_ranks(x)
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
         rng = np.random.default_rng(child)
-        draw = distinct[rng.integers(0, n, size=n)] if spec.bootstrap else distinct
-        w = np.bincount(draw, minlength=first.size).astype(np.float64)
+        idx = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
+        # a tree grows on the rows it drew, each with its copy count, as
+        # floats (exact, and the Gini cost then casts nothing)
+        w = np.bincount(idx, minlength=n).astype(np.float64)
         held = np.flatnonzero(w)
         rows = _presort(ranks[:, held])
         trees.append(_cart_tree(x[held], y[held], w[held], rows, rng, n_candidates, spec.max_depth))

@@ -119,8 +119,20 @@ class TestRunBenchmark:
             run_benchmark(config)
         capped = [str(w.message) for w in record if "capped" in str(w.message)]
         assert len(capped) == 2
-        assert capped[0].startswith("toy/smote/logreg/run 0: smote: k=5 capped at 2")
-        assert capped[1].startswith("toy/smote/gbt/run 0: smote: k=5 capped at 2")
+        for text, classifier in zip(capped, ("logreg", "gbt")):
+            assert text.startswith("smote: k=5 capped at 2")
+            assert text.endswith(f"[toy/smote/{classifier}/run 0]")
+
+    def test_caller_filters_act_inside_each_cell(self, tmp_path):
+        config = small_config(
+            tmp_path, synth_dataset(4, 30, 3, 0.3), samplers=("smote",), classifiers=("logreg", "gbt"), runs=1
+        )
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", message="smote: k=")
+            report = run_benchmark(config)
+        assert not report.failures
+        assert not [w for w in record if "capped" in str(w.message)]
 
     def test_warnings_as_errors_fail_only_their_cell(self, tmp_path):
         config = small_config(tmp_path, synth_dataset(4, 30, 3, 0.3), samplers=("none", "smote"), runs=1)
