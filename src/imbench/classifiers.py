@@ -24,6 +24,14 @@ def _require_both_classes(train: Dataset) -> None:
         raise SingleClassError("classifier training needs both classes present")
 
 
+def _check_at_least(spec, **lows) -> None:
+    """Raise naming the first of spec's fields that is below its lower bound."""
+    for field, low in lows.items():
+        value = getattr(spec, field)
+        if value < low:
+            raise ValueError(f"{field} must be >= {low}, got {value}")
+
+
 def _check_depth(max_depth: int | None) -> None:
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
@@ -103,6 +111,7 @@ def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticMode
     """Full-batch gradient descent on mean BCE from zero weights."""
     spec = spec or LogRegSpec()
     _require_both_classes(train)
+    _check_at_least(spec, iterations=0)
     x, y = train.features, train.labels.astype(np.float64)
     n = train.n_rows
     w, b = np.zeros(train.n_features), 0.0
@@ -127,7 +136,17 @@ class _Node:
         self.feature, self.threshold, self.left, self.right, self.value = -1, 0.0, None, None, 0
 
 
-_BLOCK = 4  # features scored per numpy pass; wider blocks raise peak memory
+# (feature, row) cells scored per numpy pass when every feature is scored;
+# wider passes save calls but raise peak memory, and a pass's temporaries
+# (2 x 8 bytes a cell) stay under the 128 KB past which malloc maps fresh
+# pages for each
+_CELLS = 7680
+
+
+def _workspace(n_rows: int, n_candidates: int | None) -> np.ndarray:
+    """A buffer for _sides' output at any node of any tree on up to n_rows
+    rows; one per fit, so its pages are faulted in once."""
+    return np.empty(4 * max(_CELLS, (n_candidates or 1) * n_rows))
 
 
 def _value_ranks(x: np.ndarray) -> np.ndarray:
@@ -141,97 +160,134 @@ def _presort(ranks: np.ndarray) -> np.ndarray:
     return np.argsort(ranks, axis=1, kind="stable").astype(np.int32)
 
 
-def _gini_cost(w, wy, order: np.ndarray) -> np.ndarray:
-    """Size-weighted Gini impurity of the two sides of the cut after each
-    sorted position but the last, per row of order; row r stands for w[r]
-    copies, wy[r] of them ones."""
-    n_left = np.cumsum(w.take(order), axis=1)
-    c1 = np.cumsum(wy.take(order), axis=1)
-    n = n_left[:, -1:]
-    n_left = n_left[:, :-1]
-    n_right = n - n_left
-    l1 = c1[:, :-1]
-    r1 = c1[:, -1:] - l1
-    g_left = 1.0 - (l1 / n_left) ** 2 - ((n_left - l1) / n_left) ** 2
-    g_right = 1.0 - (r1 / n_right) ** 2 - ((n_right - r1) / n_right) ** 2
-    return (n_left * g_left + n_right * g_right) / n
+def _sides(stacked, work, totals, order: np.ndarray) -> np.ndarray:
+    """Both sides of the cut after each sorted position but the last, per
+    row of order: the sums of stacked's two rows up to and including the
+    position (left), and totals, the node's sums, minus those (right). One
+    contiguous (kind, side, block row, cut) array, so the costs' passes over
+    it run unstrided, held in work, the fit's buffer."""
+    shape = (2, 2, order.shape[0], order.shape[1] - 1)
+    out = work[: 4 * shape[2] * shape[3]].reshape(shape)
+    stacked.take(order[:, :-1], axis=1).cumsum(axis=2, out=out[:, 0])
+    np.subtract(totals[:, None, None], out[:, 0], out=out[:, 1])
+    return out
 
 
-def _neg_gain_cost(g, h, g_tot, h_tot, lam, order) -> np.ndarray:
-    """Minus the second-order gain of each cut (XGBoost's exact greedy
-    search); g_tot and h_tot are the node's sums, not the cumsums' tails."""
-    gl = np.cumsum(g.take(order), axis=1)[:, :-1]
-    hl = np.cumsum(h.take(order), axis=1)[:, :-1]
-    gr = g_tot - gl
-    hr = h_tot - hl
-    return -0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
+def _gini_cost(counts, work, totals, order: np.ndarray):
+    """(cost, sides): the size-weighted Gini impurity of the two sides of
+    each cut. counts stacks (w, w * y): row r stands for w[r] copies,
+    w[r] * y[r] of them ones."""
+    sides = _sides(counts, work, totals, order)
+    size, ones = sides
+    # 1 - (ones / size)**2 - ((size - ones) / size)**2, times size, in place
+    gini = ones / size
+    gini **= 2
+    np.subtract(1.0, gini, out=gini)
+    q = size - ones
+    q /= size
+    q **= 2
+    gini -= q
+    gini *= size
+    cost = gini[0] + gini[1]
+    cost /= totals[0]
+    return cost, sides
 
 
-def _best_split(x, rows, features, cost, n_candidates=None, max_cost=math.inf):
-    """(feature, threshold) of the lowest-cost cut, or None. rows[f] is the
-    node's rows by ascending x[:, f]; cost scores a block of them. Cuts lie
-    midway between distinct values; the lowest threshold wins a cost tie. A
-    later feature must beat the best by over 1e-15; one whose best cost is
-    not below max_cost is skipped. Stops after n_candidates (None: all)."""
+def _neg_gain_cost(grad_hess, work, lam, totals, order: np.ndarray):
+    """(cost, sides): minus the second-order gain of each cut (XGBoost's
+    exact greedy search). grad_hess stacks (g, h)."""
+    sides = _sides(grad_hess, work, totals, order)
+    g, h = sides
+    # -0.5 * (g**2 / (h + lam) summed over the sides - the node's), in place
+    gain = h + lam
+    np.divide(g**2, gain, out=gain)
+    g_tot, h_tot = totals
+    cost = gain[0] + gain[1]
+    cost -= g_tot**2 / (h_tot + lam)
+    cost *= -0.5
+    return cost, sides
+
+
+def _threshold(a: float, b: float) -> float:
+    """A threshold t with a < t <= b for adjacent distinct values a < b: their
+    midpoint, or b where the midpoint rounds onto a or overflows."""
+    t = 0.5 * (a + b)
+    return t if a < t <= b else b
+
+
+def _best_split(x, rows, totals, features, cost, n_candidates=None, max_cost=math.inf):
+    """(feature, threshold, j, left) of the lowest-cost cut, or None. rows[f]
+    is the node's rows by ascending x[:, f] and totals its sums; the cut
+    puts the first j + 1 of rows[feature] on the left, whose sums are left.
+    cost(totals, a block of rows) gives the costs and the sides of each
+    cut, which the next block may overwrite. Cuts lie between distinct
+    values; the lowest threshold wins a cost tie. A later feature must beat
+    the best by over 1e-15; one whose best cost is not below max_cost is
+    skipped. Stops after n_candidates (None: all)."""
+
+    def split(best):
+        _, feature, j, xs, left = best
+        return feature, _threshold(float(xs[j]), float(xs[j + 1])), j, left
+
     best = None
     evaluated = 0
-    width = n_candidates or _BLOCK
+    width = n_candidates or max(1, _CELLS // rows.shape[1])
     for start in range(0, len(features), width):
         block = features[start : start + width]
         order = rows[block]
         xs = x.take(order * x.shape[1] + block[:, None])  # x[order[i], block[i]], flat
-        c = cost(order)
+        c, sides = cost(totals, order)
         # no cut between equal values, so a constant feature scores inf >= max_cost
         np.putmask(c, xs[:, :-1] >= xs[:, 1:], np.inf)
-        for i, j in enumerate(np.argmin(c, axis=1).tolist()):
-            if c[i, j] >= max_cost:
+        for i, (j, low) in enumerate(zip(c.argmin(axis=1).tolist(), c.min(axis=1).tolist())):
+            if low >= max_cost:
                 continue
             evaluated += 1
-            if best is None or c[i, j] < best[0] - 1e-15:
-                best = (c[i, j], int(block[i]), float(0.5 * (xs[i, j] + xs[i, j + 1])))
+            if best is None or low < best[0] - 1e-15:
+                best = (low, int(block[i]), j, xs[i], sides[:, 0, i, j].copy())
             if evaluated == n_candidates:
-                return best[1:]
-    return None if best is None else best[1:]
+                return split(best)
+    return None if best is None else split(best)
 
 
-def _grow_tree(x, rows, leaf, max_depth) -> _Node:
-    """Iterative, so unlimited depth cannot hit the recursion limit. A node
-    with rows idx (ascending) gets (value, search) = leaf(idx) when it is
-    made; search is None if it cannot split, else search(the presort rows
-    of x filtered to idx) gives the (feature, threshold) or None for a leaf.
-    Only a node with a search and under max_depth (None: unlimited) gets its
-    presort rows. Rows with x[:, feature] < threshold go left; right
-    children search first, which fixes the order of random draws."""
+def _grow_tree(rows, stats, leaf, search, max_depth) -> _Node:
+    """Iterative, so unlimited depth cannot hit the recursion limit. rows is
+    the presort of the tree's rows and stats the root's. A node gets
+    (value, totals) = leaf(its stats) when it is made; totals is None if it
+    cannot split, else search(its presort rows, totals) gives None for a
+    leaf or (feature, threshold, j, left stats, right stats): the first
+    j + 1 of rows[feature] go left. Only a node that can split and is under
+    max_depth (None: unlimited) gets its presort rows. Right children
+    search first, which fixes the order of random draws."""
 
-    def make(idx, depth):
-        """(node, search); search is None when the node stays a leaf."""
+    def make(stats, depth):
+        """(node, totals); totals is None when the node stays a leaf."""
         node = _Node()
-        node.value, search = leaf(idx)
-        return node, (None if max_depth is not None and depth >= max_depth else search)
+        node.value, totals = leaf(stats)
+        return node, (None if max_depth is not None and depth >= max_depth else totals)
 
-    goes_left = np.zeros(x.shape[0], dtype=bool)
-    idx = np.arange(x.shape[0])
-    root, search = make(idx, 0)
-    stack = [(root, idx, 0, search, rows)] if search else []
+    position = np.arange(rows.shape[1])
+    goes_left = np.zeros(rows.shape[1], dtype=bool)
+    root, totals = make(stats, 0)
+    stack = [] if totals is None else [(root, 0, totals, rows)]
     while stack:
-        node, idx, depth, search, rows = stack.pop()
-        split = search(rows)
+        node, depth, totals, rows = stack.pop()
+        split = search(rows, totals)
         if split is None:
             continue
-        node.feature, node.threshold = split
-        mask = x[idx, node.feature] < node.threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        node.left, left_search = make(left_idx, depth + 1)
-        node.right, right_search = make(right_idx, depth + 1)
-        if left_search or right_search:
-            # a stable partition keeps each feature's rows sorted
-            goes_left[idx] = mask
-            sel = goes_left.take(rows).ravel()
-            shape = (rows.shape[0], -1)
-            if left_search:
-                stack.append((node.left, left_idx, depth + 1, left_search, np.compress(sel, rows).reshape(shape)))
-            if right_search:
-                stack.append((node.right, right_idx, depth + 1, right_search, np.compress(~sel, rows).reshape(shape)))
+        node.feature, node.threshold, j, left_stats, right_stats = split
+        node.left, left_totals = make(left_stats, depth + 1)
+        node.right, right_totals = make(right_stats, depth + 1)
+        if left_totals is None and right_totals is None:
+            continue
+        # a stable partition keeps each feature's rows sorted
+        goes_left[rows[node.feature]] = position[: rows.shape[1]] <= j
+        sel = goes_left.take(rows).ravel()
+        shape = (rows.shape[0], -1)
+        if left_totals is not None:
+            stack.append((node.left, depth + 1, left_totals, rows.compress(sel).reshape(shape)))
+        if right_totals is not None:
+            stack.append((node.right, depth + 1, right_totals, rows.compress(~sel).reshape(shape)))
     return root
 
 
@@ -254,25 +310,32 @@ def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
 # CART / random forest
 
 
-def _cart_tree(x, y, w, rows, rng, n_candidates, max_depth) -> _Node:
+def _cart_tree(x, y, w, rows, rng, n_candidates, max_depth, work) -> _Node:
     """CART on class labels over rows, the presort of x; row r stands for
     w[r] copies. Splits any impure node with a valid cut, zero-gain ones
     too, so XOR-style data separates. n_candidates limits how many
     non-constant features are evaluated per node, in an order drawn from
-    rng; None means all, in index order."""
+    rng; None means all, in index order. work is the fit's _workspace. A
+    node's stats are its (copies, ones), which a child reads off the
+    winning cut's sums: exact integers, so they equal the sums over its
+    rows."""
     features = np.arange(x.shape[1])
-    wy = w * y
-    cost = partial(_gini_cost, w, wy)
+    counts = np.stack((w, w * y))
+    cost = partial(_gini_cost, counts, work)
 
-    def search(rows):
+    def leaf(totals):
+        n, ones = totals.tolist()
+        return int(2 * ones >= n), (totals if 0 < ones < n else None)
+
+    def search(rows, totals):
         order = features if n_candidates is None else rng.permutation(features.size)
-        return _best_split(x, rows, order, cost, n_candidates)
+        split = _best_split(x, rows, totals, order, cost, n_candidates)
+        if split is None:
+            return None
+        feature, threshold, j, left = split
+        return feature, threshold, j, left, totals - left
 
-    def leaf(idx):
-        n, ones = w[idx].sum(), wy[idx].sum()
-        return int(2 * ones >= n), (search if 0 < ones < n else None)
-
-    return _grow_tree(x, rows, leaf, max_depth)
+    return _grow_tree(rows, counts.sum(axis=1), leaf, search, max_depth)
 
 
 class ForestModel(TrainedClassifier):
@@ -294,12 +357,12 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
     _require_both_classes(train)
     if spec.max_features not in ("sqrt", None):
         raise ValueError(f"unknown max_features {spec.max_features!r}")
-    if spec.n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {spec.n_trees}")
+    _check_at_least(spec, n_trees=1)
     _check_depth(spec.max_depth)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
     x, y, n = train.features, train.labels, train.n_rows
     ranks = _value_ranks(x)
+    work = _workspace(n, n_candidates)
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
         rng = np.random.default_rng(child)
@@ -309,7 +372,7 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
         w = np.bincount(idx, minlength=n).astype(np.float64)
         held = np.flatnonzero(w)
         rows = _presort(ranks[:, held])
-        trees.append(_cart_tree(x[held], y[held], w[held], rows, rng, n_candidates, spec.max_depth))
+        trees.append(_cart_tree(x[held], y[held], w[held], rows, rng, n_candidates, spec.max_depth, work))
     return ForestModel(trees, train.n_features)
 
 
@@ -317,19 +380,33 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
 # gradient boosting with logistic loss
 
 
-def _gbt_tree(x, g, h, max_depth, lam, rows) -> _Node:
-    """Regression tree on gradients g and Hessians h: leaf weight
-    -G / (H + lam), split at the largest gain, which must exceed 1e-12.
-    rows is the presort of x."""
+def _gbt_tree(x, g, h, max_depth, lam, rows, work):
+    """(tree, values): a regression tree on gradients g and Hessians h, with
+    leaf weight -G / (H + lam), split at the largest gain, which must exceed
+    1e-12, and each row's leaf weight. rows is the presort of x and work
+    the fit's _workspace. A node's stats are its rows in ascending order,
+    over which G and H are summed, as the order of a float sum matters."""
     features = np.arange(x.shape[1])
+    grad_hess = np.stack((g, h))
+    cost = partial(_neg_gain_cost, grad_hess, work, lam)
+    values = np.empty(x.shape[0])
 
     def leaf(idx):
-        g_tot, h_tot = g[idx].sum(), h[idx].sum()
-        cost = partial(_neg_gain_cost, g, h, g_tot, h_tot, lam)
-        search = partial(_best_split, x, features=features, cost=cost, max_cost=-1e-12)
-        return -g_tot / (h_tot + lam), (search if idx.size >= 2 else None)
+        totals = grad_hess.take(idx, axis=1).sum(axis=1)
+        g_tot, h_tot = totals
+        # children overwrite their parent's rows, so each row ends at its leaf
+        values[idx] = value = -g_tot / (h_tot + lam)
+        return value, (totals if idx.size >= 2 else None)
 
-    return _grow_tree(x, rows, leaf, max_depth)
+    def search(rows, totals):
+        split = _best_split(x, rows, totals, features, cost, max_cost=-1e-12)
+        if split is None:
+            return None
+        feature, threshold, j, _ = split
+        order = rows[feature]
+        return feature, threshold, j, np.sort(order[: j + 1]), np.sort(order[j + 1 :])
+
+    return _grow_tree(rows, np.arange(x.shape[0]), leaf, search, max_depth), values
 
 
 class BoostedModel(TrainedClassifier):
@@ -352,22 +429,22 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     Hessian-weighted leaf values, initialized at the prior log-odds."""
     spec = spec or GBTSpec()
     _require_both_classes(train)
-    if spec.rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {spec.rounds}")
+    _check_at_least(spec, rounds=0, l2=0)
     _check_depth(spec.max_depth)
     x, y = train.features, train.labels.astype(np.float64)
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
     score = np.full(train.n_rows, base)
     rows = _presort(_value_ranks(x))
+    work = _workspace(train.n_rows, None)
     trees: list[_Node] = []
     for _ in range(spec.rounds):
         p = nn.sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
-        tree = _gbt_tree(x, g, h, spec.max_depth, spec.l2, rows)
+        tree, values = _gbt_tree(x, g, h, spec.max_depth, spec.l2, rows, work)
         trees.append(tree)
-        score = score + spec.learning_rate * _tree_apply(tree, x)
+        score = score + spec.learning_rate * values
     return BoostedModel(base, trees, spec.learning_rate, train.n_features)
 
 
@@ -390,6 +467,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
     """Mini-batch Adam on BCE over a ReLU MLP with sigmoid output."""
     spec = spec or MLPSpec()
     _require_both_classes(train)
+    _check_at_least(spec, epochs=0, batch_size=1)
     rng = np.random.default_rng(spec.seed)
     sizes = [train.n_features, *spec.hidden, 1]
     dims = list(zip(sizes[:-1], sizes[1:]))

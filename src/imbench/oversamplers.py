@@ -45,6 +45,10 @@ class KNNIndex:
             raise ValueError("k must be >= 1")
         sq = np.sum((self.reference - p) ** 2, axis=1)
         keep = np.flatnonzero(sq > 0.0)
+        if keep.size > k:
+            # only rows at or below the k-th distance can rank; ties stay
+            d = sq[keep]
+            keep = keep[d <= np.partition(d, k - 1)[k - 1]]
         return keep[np.argsort(sq[keep], kind="stable")[:k]]
 
 

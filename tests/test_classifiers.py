@@ -20,11 +20,12 @@ from imbench.classifiers import (
     _presort,
     _tree_apply,
     _value_ranks,
+    _workspace,
 )
 from imbench.bench import synth_dataset
-from imbench.data import Dataset
+from imbench.data import Dataset, stratified_split
 from imbench.errors import DimensionMismatchError, SingleClassError
-from imbench.oversamplers import random_oversample
+from imbench.oversamplers import random_oversample, smote
 
 
 def make(features, labels):
@@ -75,6 +76,10 @@ class TestLogReg:
         ds = make([[0.0], [1.0]], [1, 1])
         with pytest.raises(SingleClassError):
             train_logreg(ds)
+
+    def test_invalid_spec_rejected(self):
+        with pytest.raises(ValueError, match="iterations"):
+            train_logreg(separable_1d(), LogRegSpec(iterations=-5))
 
 
 class TestRandomForest:
@@ -157,7 +162,7 @@ class TestGBT:
         assert len(hist) == 61
         assert np.all(np.diff(hist) <= 1e-12)
 
-    @pytest.mark.parametrize("field, value", [("rounds", -3), ("max_depth", -1)])
+    @pytest.mark.parametrize("field, value", [("rounds", -3), ("max_depth", -1), ("l2", -0.25)])
     def test_invalid_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             train_gbt(separable_1d(), GBTSpec(**{field: value}))
@@ -205,12 +210,32 @@ class TestTreeRules:
     def test_zero_gradient_gbt_node_stays_a_leaf(self):
         # every cut has gain 0, which does not pass the 1e-12 floor
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
-        root = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), 3, 1.0, _presort(_value_ranks(x)))
+        rows = _presort(_value_ranks(x))
+        root, _ = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), 3, 1.0, rows, _workspace(4, None))
         assert root.left is None and root.value == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.5, np.nextafter(0.5, 1.0)), (1e308, 1.7e308), (-1.7e308, -1e308)],
+        ids=["midpoint-rounds-onto-a", "sum-overflows-up", "sum-overflows-down"],
+    )
+    def test_both_trainers_separate_adjacent_or_huge_values(self, a, b):
+        # 0.5 * (a + b) is a for the adjacent pair and +-inf for the huge
+        # ones; either threshold would send every row right
+        ds = make([[a], [b], [a], [b]], [0, 1, 0, 1])
+        for model in (
+            train_random_forest(ds, ForestSpec(n_trees=1, bootstrap=False, max_features=None)),
+            train_random_forest(ds, ForestSpec(n_trees=1, max_depth=50, bootstrap=False, max_features=None)),
+            train_gbt(ds, GBTSpec(rounds=1, max_depth=2)),
+        ):
+            root = model.trees[0]
+            assert np.isfinite(root.threshold) and a < root.threshold <= b
+            assert root.left.left is None and root.right.left is None
+            assert np.array_equal(predict_labels(model, ds.features), ds.labels)
 
     @staticmethod
     def brute_force_split(x, rows, features, cost, n_candidates=None, max_cost=np.inf):
-        """Every midpoint between distinct values of every feature, scored
+        """Every cut between distinct values of every feature, scored
         one by one: the lowest threshold wins a cost tie, a later feature
         must win by more than 1e-15, and costs not below max_cost are
         skipped. cost(left, rows) takes the left rows in sorted order."""
@@ -220,8 +245,9 @@ class TestTreeRules:
             if len(values) < 2:
                 continue
             by_value = sorted(rows.tolist(), key=lambda r: (x[r, f], r))
+            # the midpoint, unless it rounds onto a or overflows
             cuts = [
-                (cost([r for r in by_value if x[r, f] <= a], rows), 0.5 * (a + b))
+                (cost([r for r in by_value if x[r, f] <= a], rows), t if a < (t := 0.5 * (a + b)) <= b else b)
                 for a, b in zip(values, values[1:])
             ]
             c, threshold = min(cuts, key=lambda cut: cut[0])
@@ -387,6 +413,22 @@ class TestTreeDigest:
         models = [train_classifier(table, self.SPECS[name]) for table in digest_tables()]
         assert tree_digest(models) == self.DIGESTS[name]
 
+    # a SMOTE-balanced training split at the wide benchmark's shape (1920
+    # rows, 16 features), so the blocks of many features scored at once are
+    # pinned too; recorded before the split search returned its cut position
+    WIDE_SPECS = {"rf": ForestSpec(n_trees=10, seed=1), "gbt": GBTSpec(rounds=10)}
+    WIDE_DIGESTS = {
+        "rf": "e13fa5f063713f73fe4baab913576e22b056d832aff98eea422ffa1f6c78b219",
+        "gbt": "6e2ac725717e07ccc135f0f41e239b257c5ff6f56a7aa4d7381bde2688eb5d80",
+    }
+
+    @pytest.mark.parametrize("name", sorted(WIDE_SPECS))
+    def test_wide_trees_hash_to_the_recorded_digest(self, name):
+        ds = synth_dataset(300, 1200, 16, 0.15, seed=1)
+        train = smote(stratified_split(ds, 0.2, seed=1).train, seed=1).data
+        assert train.features.shape == (1920, 16)
+        assert tree_digest([train_classifier(train, self.WIDE_SPECS[name])]) == self.WIDE_DIGESTS[name]
+
 
 class TestMLP:
     def test_zero_epochs_near_half(self):
@@ -412,6 +454,11 @@ class TestMLP:
         a = train_mlp_classifier(ds, MLPSpec(epochs=3, seed=2))
         b = train_mlp_classifier(ds, MLPSpec(epochs=3, seed=2))
         assert np.array_equal(a.predict_proba(ds.features), b.predict_proba(ds.features))
+
+    @pytest.mark.parametrize("field, value", [("epochs", -2), ("batch_size", 0), ("batch_size", -4)])
+    def test_invalid_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            train_mlp_classifier(separable_1d(), MLPSpec(**{field: value}))
 
 
 class TestPredictLabels:

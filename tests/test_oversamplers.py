@@ -77,6 +77,15 @@ class TestKnnQuery:
             for q in [*ref, np.full(3, 0.5)]:
                 assert index.query(q, k).tolist() == brute_force_knn(ref, q, k)
 
+    def test_matches_brute_force_on_a_grid(self):
+        # values on a 0.25 grid, so many rows tie at the k-th distance
+        rng = np.random.default_rng(10)
+        ref = np.round(rng.random((40, 3)) * 4) / 4
+        index = KNNIndex(ref)
+        for k in (1, 2, 5, 13, 39, 41):
+            for q in [*ref, np.full(3, 0.5), np.array([0.125, 1.0, 0.0])]:
+                assert index.query(q, k).tolist() == brute_force_knn(ref, q, k)
+
     def test_tie_break_lower_index(self):
         index = KNNIndex(np.array([[1.0], [1.0], [0.0]]))
         assert index.query(np.array([0.5]), 2).tolist() == [0, 1]
