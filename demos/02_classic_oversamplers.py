@@ -33,5 +33,5 @@ print(f"\nsmote synthetic points on their source-neighbor segment: {on_segment}/
 
 # ADASYN concentrates synthesis where majority neighbors crowd a minority row
 plan = adasyn_plan(train, k=5)
-order = np.argsort(plan.counts)[::-1]
-print(f"adasyn plan: total={plan.counts.sum()}, busiest rows get {plan.counts[order[:5]].tolist()}")
+order = np.argsort(plan)[::-1]
+print(f"adasyn plan: total={plan.sum()}, busiest rows get {plan[order[:5]].tolist()}")

@@ -25,7 +25,6 @@ from .data import (
 from .oversamplers import (
     AugmentedDataset,
     KNNIndex,
-    SynthesisPlan,
     adasyn,
     adasyn_plan,
     borderline_smote,

@@ -28,7 +28,7 @@ from .classifiers import (
     predict_labels,
     train_classifier,
 )
-from .data import Dataset, minmax_fit, minmax_transform, stratified_split
+from .data import MINORITY, Dataset, minmax_fit, minmax_transform, stratified_split
 from .errors import (
     ConfigInvalidError,
     DimensionMismatchError,
@@ -44,14 +44,14 @@ METRICS_CSV_HEADER = ["dataset", "sampler", "classifier", "metric", "mean", "std
 
 
 def compute_metrics(y_true, y_pred) -> tuple[float, float, float]:
-    """(recall, precision, f1) with class 1 positive; 0/0 counts as 0."""
+    """(recall, precision, f1) with class MINORITY positive; 0/0 counts as 0."""
     t = np.asarray(y_true).astype(np.int64)
     p = np.asarray(y_pred).astype(np.int64)
     if t.shape != p.shape:
         raise DimensionMismatchError(f"y_true shape {t.shape} != y_pred shape {p.shape}")
-    tp = int(np.sum((t == 1) & (p == 1)))
-    fp = int(np.sum((t == 0) & (p == 1)))
-    fn = int(np.sum((t == 1) & (p == 0)))
+    tp = int(np.sum((t == MINORITY) & (p == MINORITY)))
+    fp = int(np.sum((t == 0) & (p == MINORITY)))
+    fn = int(np.sum((t == MINORITY) & (p == 0)))
     recall = tp / (tp + fn) if tp + fn else 0.0
     precision = tp / (tp + fp) if tp + fp else 0.0
     # harmonic mean written on raw counts so hand values come out exact

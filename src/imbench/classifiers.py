@@ -15,26 +15,17 @@ from functools import partial
 import numpy as np
 
 from . import nn
-from .data import Dataset, imbalance_stats
-from .errors import DimensionMismatchError, SingleClassError
-
-
-def _require_both_classes(train: Dataset) -> None:
-    if imbalance_stats(train).single_class:
-        raise SingleClassError("classifier training needs both classes present")
+from .data import Dataset, require_both_classes
+from .errors import DimensionMismatchError
 
 
 def _check_at_least(spec, **lows) -> None:
-    """Raise naming the first of spec's fields that is below its lower bound."""
+    """Raise naming the first of spec's fields that is below its lower bound;
+    None (an unlimited max_depth) has no bound."""
     for field, low in lows.items():
         value = getattr(spec, field)
-        if value < low:
+        if value is not None and value < low:
             raise ValueError(f"{field} must be >= {low}, got {value}")
-
-
-def _check_depth(max_depth: int | None) -> None:
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ class LogisticModel(TrainedClassifier):
 def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticModel:
     """Full-batch gradient descent on mean BCE from zero weights."""
     spec = spec or LogRegSpec()
-    _require_both_classes(train)
+    require_both_classes(train, "classifier training")
     _check_at_least(spec, iterations=0)
     x, y = train.features, train.labels.astype(np.float64)
     n = train.n_rows
@@ -354,11 +345,10 @@ class ForestModel(TrainedClassifier):
 def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> ForestModel:
     """Gini CART trees on bootstrap resamples, majority-vote probability."""
     spec = spec or ForestSpec()
-    _require_both_classes(train)
+    require_both_classes(train, "classifier training")
     if spec.max_features not in ("sqrt", None):
         raise ValueError(f"unknown max_features {spec.max_features!r}")
-    _check_at_least(spec, n_trees=1)
-    _check_depth(spec.max_depth)
+    _check_at_least(spec, n_trees=1, max_depth=0)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
     x, y, n = train.features, train.labels, train.n_rows
     ranks = _value_ranks(x)
@@ -428,9 +418,8 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     """Additive regression trees fit to logistic-loss gradients with
     Hessian-weighted leaf values, initialized at the prior log-odds."""
     spec = spec or GBTSpec()
-    _require_both_classes(train)
-    _check_at_least(spec, rounds=0, l2=0)
-    _check_depth(spec.max_depth)
+    require_both_classes(train, "classifier training")
+    _check_at_least(spec, rounds=0, l2=0, max_depth=0)
     x, y = train.features, train.labels.astype(np.float64)
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
@@ -466,7 +455,7 @@ class MLPModel(TrainedClassifier):
 def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPModel:
     """Mini-batch Adam on BCE over a ReLU MLP with sigmoid output."""
     spec = spec or MLPSpec()
-    _require_both_classes(train)
+    require_both_classes(train, "classifier training")
     _check_at_least(spec, epochs=0, batch_size=1)
     rng = np.random.default_rng(spec.seed)
     sizes = [train.n_features, *spec.hidden, 1]

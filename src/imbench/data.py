@@ -2,8 +2,8 @@
 
 All containers are frozen and their arrays marked read-only, so every cell
 of a grid shares one dataset without copying and none can change another's.
-Class 1 is always the minority/positive class internally; ``load_csv`` remaps
-raw label values so this holds.
+Label ``MINORITY`` (1) is always the minority/positive class internally;
+``load_csv`` remaps raw label values so this holds.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .errors import (
     SingleClassError,
     TooFewRowsError,
 )
+
+MINORITY = 1  # the minority and positive class; the other label is 0
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -167,7 +169,7 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
     d0, d1 = distinct
     # rarer value -> 1; on a tie the lexicographically smaller value -> 0
     rare, common = (d0, d1) if raw_labels.count(d0) < raw_labels.count(d1) else (d1, d0)
-    mapping = {common: 0, rare: 1}
+    mapping = {common: 0, rare: MINORITY}
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ds = Dataset(np.array(rows, dtype=np.float64), labels, feature_names)
     return ds, mapping
@@ -216,10 +218,16 @@ def minmax_transform(params: ScalerParams, d: Dataset) -> Dataset:
 
 def imbalance_stats(d: Dataset) -> ImbalanceStats:
     """Class counts and majority/minority ratio."""
-    n1 = int(np.sum(d.labels == 1))
+    n1 = int(np.sum(d.labels == MINORITY))
     n_min, n_maj = sorted((n1, d.n_rows - n1))
     ratio = float(n_maj) / n_min if n_min > 0 else float("inf")
     return ImbalanceStats(n_min, n_maj, ratio)
+
+
+def require_both_classes(d: Dataset, what: str) -> None:
+    """Raise SingleClassError naming the stage ``what`` unless d has both classes."""
+    if imbalance_stats(d).single_class:
+        raise SingleClassError(f"{what} needs both classes present")
 
 
 def _round_half_up(x: float) -> int:
@@ -234,8 +242,7 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSp
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
-    if imbalance_stats(d).single_class:
-        raise SingleClassError("stratified split needs both classes present")
+    require_both_classes(d, "stratified split")
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .data import Dataset, imbalance_stats
-from .errors import ConfigInvalidError, DimensionMismatchError, SingleClassError
-from .oversamplers import MINORITY, AugmentedDataset, _assemble, _check_two_classes, _unchanged
+from .data import MINORITY, Dataset, require_both_classes
+from .errors import ConfigInvalidError, DimensionMismatchError
+from .oversamplers import AugmentedDataset, _assemble, _check_two_classes, _unchanged
 
 
 # the published training settings (Charitou et al., arXiv 2109.12546)
@@ -112,8 +112,7 @@ def _conditioned(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) -> GANModel:
     config.validate()
-    if imbalance_stats(train).single_class:
-        raise SingleClassError("GAN training needs both classes present")
+    require_both_classes(train, "GAN training")
     x = train.features
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
         raise ConfigInvalidError("GAN expects min-max scaled training data in [0,1]")

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DimensionMismatchError, MinorityTooSmallError, SingleClassError
-
-MINORITY = 1  # internal convention: minority/positive class is label 1
+from .data import MINORITY, Dataset, require_both_classes
+from .errors import DimensionMismatchError, MinorityTooSmallError
 
 
 class KNNIndex:
@@ -53,20 +51,6 @@ class KNNIndex:
 
 
 @dataclass(frozen=True)
-class SynthesisPlan:
-    """Per-minority-row synthetic counts; the total is ``counts.sum()``."""
-
-    counts: np.ndarray  # aligned with minority rows in dataset order
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0):
-            raise ValueError("plan counts must be non-negative")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-
-@dataclass(frozen=True)
 class AugmentedDataset:
     """Original rows followed by synthetic minority rows.
 
@@ -90,10 +74,9 @@ class AugmentedDataset:
 
 def _check_two_classes(train: Dataset) -> tuple[np.ndarray, int]:
     """Minority row indices and the gap to class parity."""
+    require_both_classes(train, "oversampling")
     minority_idx = np.flatnonzero(train.labels == MINORITY)
     n_majority = train.n_rows - minority_idx.size
-    if minority_idx.size == 0 or n_majority == 0:
-        raise SingleClassError("oversampling needs both classes present")
     if minority_idx.size > n_majority:
         raise ValueError("label 1 must be the minority class; remap labels first")
     return minority_idx, n_majority - minority_idx.size
@@ -239,8 +222,9 @@ def _adasyn_counts(train: Dataset, minority_idx: np.ndarray, total: int, k: int)
     return base
 
 
-def adasyn_plan(train: Dataset, k: int = 5) -> SynthesisPlan:
-    """Density-weighted synthetic counts per minority row.
+def adasyn_plan(train: Dataset, k: int = 5) -> np.ndarray:
+    """Density-weighted synthetic counts per minority row, as a read-only
+    int64 array aligned with the minority rows in dataset order.
 
     r_i = majority fraction among the k nearest whole-set neighbors of
     minority row i, normalized over rows; counts are the largest-remainder
@@ -251,7 +235,8 @@ def adasyn_plan(train: Dataset, k: int = 5) -> SynthesisPlan:
     counts = _adasyn_counts(train, minority_idx, gap, _effective_k(k, minority_idx.size, "adasyn"))
     if counts is None:
         raise ValueError("all-zero density: no minority row has majority neighbors")
-    return SynthesisPlan(counts)
+    counts.flags.writeable = False
+    return counts
 
 
 def adasyn(train: Dataset, k: int = 5, seed: int = 0) -> AugmentedDataset:

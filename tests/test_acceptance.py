@@ -139,7 +139,7 @@ def test_criterion_3_sampler_geometry_and_counts():
                 if expected is None:
                     continue
                 plan = adasyn_plan(ds, k=3)
-                assert plan.counts.tolist() == expected.tolist()
+                assert plan.tolist() == expected.tolist()
                 checked += 1
 
 

@@ -74,7 +74,7 @@ class TestLogReg:
 
     def test_single_class_rejected(self):
         ds = make([[0.0], [1.0]], [1, 1])
-        with pytest.raises(SingleClassError):
+        with pytest.raises(SingleClassError, match="classifier training needs both classes"):
             train_logreg(ds)
 
     def test_invalid_spec_rejected(self):
@@ -115,7 +115,7 @@ class TestRandomForest:
 
     def test_single_class_rejected(self):
         ds = make([[0.0], [1.0]], [0, 0])
-        with pytest.raises(SingleClassError):
+        with pytest.raises(SingleClassError, match="classifier training needs both classes"):
             train_random_forest(ds)
 
     @pytest.mark.parametrize("max_depth", [None, 3])

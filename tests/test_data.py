@@ -200,7 +200,7 @@ class TestStratifiedSplit:
 
     def test_single_class_rejected(self, make_dataset):
         ds = make_dataset([[1.0], [2.0], [3.0]], [1, 1, 1])
-        with pytest.raises(SingleClassError):
+        with pytest.raises(SingleClassError, match="stratified split needs both classes"):
             stratified_split(ds, 0.2, seed=0)
 
     def test_too_few_rows(self, make_dataset):

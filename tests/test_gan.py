@@ -162,7 +162,7 @@ class TestTraining:
     def test_single_class_rejected(self):
         feats = np.random.default_rng(0).random((8, 2))
         ds = Dataset(feats, np.zeros(8, dtype=np.int64), ("a", "b"))
-        with pytest.raises(SingleClassError):
+        with pytest.raises(SingleClassError, match="GAN training needs both classes"):
             train_sdg_gan(ds, tiny_config(1), seed=0)
 
     def test_unscaled_data_rejected(self):
