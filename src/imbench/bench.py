@@ -44,11 +44,15 @@ METRICS_CSV_HEADER = ["dataset", "sampler", "classifier", "metric", "mean", "std
 
 
 def compute_metrics(y_true, y_pred) -> tuple[float, float, float]:
-    """(recall, precision, f1) with class MINORITY positive; 0/0 counts as 0."""
-    t = np.asarray(y_true).astype(np.int64)
-    p = np.asarray(y_pred).astype(np.int64)
+    """(recall, precision, f1) with class MINORITY positive; 0/0 counts as 0.
+    Labels other than 0 and MINORITY raise, as they belong to neither class."""
+    t, p = np.asarray(y_true), np.asarray(y_pred)
     if t.shape != p.shape:
         raise DimensionMismatchError(f"y_true shape {t.shape} != y_pred shape {p.shape}")
+    both = np.concatenate((t.ravel(), p.ravel()))
+    stray = both[(both != 0) & (both != MINORITY)]
+    if stray.size:
+        raise ValueError(f"labels must be 0 or {MINORITY}, got {np.unique(stray).tolist()}")
     tp = int(np.sum((t == MINORITY) & (p == MINORITY)))
     fp = int(np.sum((t == 0) & (p == MINORITY)))
     fn = int(np.sum((t == MINORITY) & (p == 0)))

@@ -146,6 +146,12 @@ def _value_ranks(x: np.ndarray) -> np.ndarray:
     return np.array([np.unique(col, return_inverse=True)[1] for col in x.T], dtype=dtype)
 
 
+def _tied(ranks: np.ndarray) -> np.ndarray:
+    """Whether each column (a row of ranks) holds a repeated value; a
+    constant column does, as it has fewer distinct values than rows."""
+    return ranks.max(axis=1) < ranks.shape[1] - 1
+
+
 def _presort(ranks: np.ndarray) -> np.ndarray:
     """Each feature's rows by ascending value, ties to the lower row."""
     return np.argsort(ranks, axis=1, kind="stable").astype(np.int32)
@@ -206,36 +212,49 @@ def _threshold(a: float, b: float) -> float:
     return t if a < t <= b else b
 
 
-def _best_split(x, rows, totals, features, cost, n_candidates=None, max_cost=math.inf):
+def _best_split(x, rows, totals, features, cost, tied, n_candidates=None, max_cost=math.inf):
     """(feature, threshold, j, left) of the lowest-cost cut, or None. rows[f]
     is the node's rows by ascending x[:, f] and totals its sums; the cut
     puts the first j + 1 of rows[feature] on the left, whose sums are left.
-    cost(totals, a block of rows) gives the costs and the sides of each
-    cut, which the next block may overwrite. Cuts lie between distinct
-    values; the lowest threshold wins a cost tie. A later feature must beat
-    the best by over 1e-15; one whose best cost is not below max_cost is
-    skipped. Stops after n_candidates (None: all)."""
+    features is the order in which to score them, or None for all in index
+    order, whose blocks are then views of rows. cost(totals, a block of
+    rows) gives the costs and the sides of each cut, which the next block
+    may overwrite. Cuts lie between distinct values. Only a feature flagged
+    in tied, one that may hold equal values, has its cuts between equal
+    neighbours masked, so a constant one scores inf; every cut of an
+    unflagged feature already lies between distinct values. The lowest
+    threshold wins a cost tie. A later feature must beat the best by over
+    1e-15; one whose best cost is not below max_cost is skipped. Stops
+    after n_candidates (None: all)."""
 
     def split(best):
-        _, feature, j, xs, left = best
-        return feature, _threshold(float(xs[j]), float(xs[j + 1])), j, left
+        _, feature, j, left = best
+        a, b = rows[feature, j], rows[feature, j + 1]
+        return feature, _threshold(float(x[a, feature]), float(x[b, feature])), j, left
 
+    in_order = features is None
+    if in_order:
+        features = np.arange(x.shape[1])
     best = None
     evaluated = 0
     width = n_candidates or max(1, _CELLS // rows.shape[1])
     for start in range(0, len(features), width):
         block = features[start : start + width]
-        order = rows[block]
-        xs = x.take(order * x.shape[1] + block[:, None])  # x[order[i], block[i]], flat
+        order = rows[start : start + width] if in_order else rows[block]
         c, sides = cost(totals, order)
-        # no cut between equal values, so a constant feature scores inf >= max_cost
-        np.putmask(c, xs[:, :-1] >= xs[:, 1:], np.inf)
+        at = tied[block].nonzero()[0]
+        if at.size:
+            # one pass from the block's first tied feature to its last: an
+            # untied one between them has no equal neighbours to mask
+            span = slice(at[0], at[-1] + 1)
+            xs = x.take(order[span] * x.shape[1] + block[span, None])
+            np.putmask(c[span], xs[:, :-1] >= xs[:, 1:], np.inf)
         for i, (j, low) in enumerate(zip(c.argmin(axis=1).tolist(), c.min(axis=1).tolist())):
             if low >= max_cost:
                 continue
             evaluated += 1
             if best is None or low < best[0] - 1e-15:
-                best = (low, int(block[i]), j, xs[i], sides[:, 0, i, j].copy())
+                best = (low, int(block[i]), j, sides[:, 0, i, j].copy())
             if evaluated == n_candidates:
                 return split(best)
     return None if best is None else split(best)
@@ -301,16 +320,15 @@ def _tree_apply(root: _Node, x: np.ndarray) -> np.ndarray:
 # CART / random forest
 
 
-def _cart_tree(x, y, w, rows, rng, n_candidates, max_depth, work) -> _Node:
-    """CART on class labels over rows, the presort of x; row r stands for
-    w[r] copies. Splits any impure node with a valid cut, zero-gain ones
-    too, so XOR-style data separates. n_candidates limits how many
-    non-constant features are evaluated per node, in an order drawn from
-    rng; None means all, in index order. work is the fit's _workspace. A
-    node's stats are its (copies, ones), which a child reads off the
-    winning cut's sums: exact integers, so they equal the sums over its
-    rows."""
-    features = np.arange(x.shape[1])
+def _cart_tree(x, y, w, rows, tied, rng, n_candidates, max_depth, work) -> _Node:
+    """CART on class labels over rows, the presort of x, whose columns
+    flagged in tied may hold equal values; row r stands for w[r] copies.
+    Splits any impure node with a valid cut, zero-gain ones too, so
+    XOR-style data separates. n_candidates limits how many non-constant
+    features are evaluated per node, in an order drawn from rng; None means
+    all, in index order. work is the fit's _workspace. A node's stats are
+    its (copies, ones), which a child reads off the winning cut's sums:
+    exact integers, so they equal the sums over its rows."""
     counts = np.stack((w, w * y))
     cost = partial(_gini_cost, counts, work)
 
@@ -319,8 +337,8 @@ def _cart_tree(x, y, w, rows, rng, n_candidates, max_depth, work) -> _Node:
         return int(2 * ones >= n), (totals if 0 < ones < n else None)
 
     def search(rows, totals):
-        order = features if n_candidates is None else rng.permutation(features.size)
-        split = _best_split(x, rows, totals, order, cost, n_candidates)
+        order = None if n_candidates is None else rng.permutation(x.shape[1])
+        split = _best_split(x, rows, totals, order, cost, tied, n_candidates)
         if split is None:
             return None
         feature, threshold, j, left = split
@@ -352,6 +370,7 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
     x, y, n = train.features, train.labels, train.n_rows
     ranks = _value_ranks(x)
+    tied = _tied(ranks)
     work = _workspace(n, n_candidates)
     trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
@@ -362,7 +381,8 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
         w = np.bincount(idx, minlength=n).astype(np.float64)
         held = np.flatnonzero(w)
         rows = _presort(ranks[:, held])
-        trees.append(_cart_tree(x[held], y[held], w[held], rows, rng, n_candidates, spec.max_depth, work))
+        # a column untied over all rows is untied over those drawn
+        trees.append(_cart_tree(x[held], y[held], w[held], rows, tied, rng, n_candidates, spec.max_depth, work))
     return ForestModel(trees, train.n_features)
 
 
@@ -370,13 +390,13 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
 # gradient boosting with logistic loss
 
 
-def _gbt_tree(x, g, h, max_depth, lam, rows, work):
+def _gbt_tree(x, g, h, max_depth, lam, rows, tied, work):
     """(tree, values): a regression tree on gradients g and Hessians h, with
     leaf weight -G / (H + lam), split at the largest gain, which must exceed
-    1e-12, and each row's leaf weight. rows is the presort of x and work
-    the fit's _workspace. A node's stats are its rows in ascending order,
-    over which G and H are summed, as the order of a float sum matters."""
-    features = np.arange(x.shape[1])
+    1e-12, and each row's leaf weight. rows is the presort of x, tied flags
+    its columns that may hold equal values, and work is the fit's
+    _workspace. A node's stats are its rows in ascending order, over which
+    G and H are summed, as the order of a float sum matters."""
     grad_hess = np.stack((g, h))
     cost = partial(_neg_gain_cost, grad_hess, work, lam)
     values = np.empty(x.shape[0])
@@ -389,7 +409,7 @@ def _gbt_tree(x, g, h, max_depth, lam, rows, work):
         return value, (totals if idx.size >= 2 else None)
 
     def search(rows, totals):
-        split = _best_split(x, rows, totals, features, cost, max_cost=-1e-12)
+        split = _best_split(x, rows, totals, None, cost, tied, max_cost=-1e-12)
         if split is None:
             return None
         feature, threshold, j, _ = split
@@ -424,14 +444,15 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
     score = np.full(train.n_rows, base)
-    rows = _presort(_value_ranks(x))
+    ranks = _value_ranks(x)
+    rows, tied = _presort(ranks), _tied(ranks)
     work = _workspace(train.n_rows, None)
     trees: list[_Node] = []
     for _ in range(spec.rounds):
         p = nn.sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
-        tree, values = _gbt_tree(x, g, h, spec.max_depth, spec.l2, rows, work)
+        tree, values = _gbt_tree(x, g, h, spec.max_depth, spec.l2, rows, tied, work)
         trees.append(tree)
         score = score + spec.learning_rate * values
     return BoostedModel(base, trees, spec.learning_rate, train.n_features)
@@ -469,7 +490,7 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
         for start in range(0, train.n_rows, spec.batch_size):
             idx = perm[start : start + spec.batch_size]
             out, cache = nn.forward(net, x[idx], rng)
-            _, grad = nn.bce_loss(out[:, 0], y[idx])
+            grad = nn.bce_grad(out[:, 0], y[idx])
             nn.adam_step(opt, nn.backward(net, cache, grad.reshape(-1, 1))[0])
     return MLPModel(net)
 

@@ -271,19 +271,27 @@ def adam_step(state: AdamState, grad: np.ndarray) -> None:
 PROB_EPS = 1e-7
 
 
-def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross entropy and its gradient w.r.t. pred.
-
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs so a
-    saturated sigmoid cannot produce an infinite loss.
-    """
+def _clamped(pred, target) -> tuple[np.ndarray, np.ndarray]:
+    """(pred clamped to [1e-7, 1 - 1e-7], target) as float64 arrays of one
+    shape; the clamp keeps a saturated sigmoid from an infinite loss."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise DimensionMismatchError(f"pred shape {p.shape} != target shape {t.shape}")
-    pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    n = p.size
-    loss = float(-np.sum(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)) / n)
-    grad = (pc - t) / (pc * (1.0 - pc)) / n
-    return loss, grad
+    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS), t
 
+
+def _clamped_bce_grad(pc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return (pc - t) / (pc * (1.0 - pc)) / pc.size
+
+
+def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross entropy of the clamped pred and its gradient w.r.t. pred."""
+    pc, t = _clamped(pred, target)
+    loss = float(-np.sum(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc)) / pc.size)
+    return loss, _clamped_bce_grad(pc, t)
+
+
+def bce_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """bce_loss's gradient alone, for a caller that does not read the loss."""
+    return _clamped_bce_grad(*_clamped(pred, target))

@@ -1,3 +1,4 @@
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -52,6 +53,15 @@ class TestComputeMetrics:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             compute_metrics(np.array([1, 0]), np.array([1]))
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, stray",
+        [([2, 1, 0], [1, 1, 0], "[2]"), ([1, 0, 0], [1, -1, 3], "[-1, 3]"), ([1, 0.5], [1, 1], "[0.5]")],
+    )
+    def test_labels_outside_zero_one_rejected(self, y_true, y_pred, stray):
+        # a stray label belongs to neither class, so no count could hold it
+        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {stray}")):
+            compute_metrics(np.array(y_true), np.array(y_pred))
 
 
 def trivially_separable(n=60):

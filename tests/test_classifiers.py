@@ -18,6 +18,7 @@ from imbench.classifiers import (
     train_random_forest,
     _gbt_tree,
     _presort,
+    _tied,
     _tree_apply,
     _value_ranks,
     _workspace,
@@ -211,7 +212,7 @@ class TestTreeRules:
         # every cut has gain 0, which does not pass the 1e-12 floor
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         rows = _presort(_value_ranks(x))
-        root, _ = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), 3, 1.0, rows, _workspace(4, None))
+        root, _ = _gbt_tree(x, np.zeros(4), np.full(4, 0.25), 3, 1.0, rows, _tied(_value_ranks(x)), _workspace(4, None))
         assert root.left is None and root.value == 0.0
 
     @pytest.mark.parametrize(
@@ -356,6 +357,87 @@ class TestTreeRules:
                     values[r] = node.value
                 score = score + spec.learning_rate * values
         assert splits > 20
+
+    def test_only_columns_with_a_repeated_value_are_tied(self):
+        x = np.array([[5.0, 1.0, 0.3], [5.0, 2.0, 0.1], [5.0, 1.0, 0.2], [5.0, 3.0, 0.4]])
+        assert _tied(_value_ranks(x)).tolist() == [True, True, False]
+
+    @staticmethod
+    def mixed_table(seed):
+        """Untied continuous columns around a 0.25-grid column and a constant
+        one, so one block of features holds tied and untied columns, with
+        an untied one between two tied ones; labels lean on both kinds."""
+        rng = np.random.default_rng(seed)
+        grid = np.round(rng.random(40) * 4) / 4
+        a, b, c = rng.random((3, 40))
+        feats = np.column_stack([a, grid, b, np.full(40, 2.0), c])
+        labels = (grid + a + 0.5 * rng.random(40) > 1.0).astype(int)
+        assert _tied(_value_ranks(feats)).tolist() == [False, True, False, True, False]
+        return feats, labels
+
+    @pytest.mark.parametrize("bootstrap, max_features", [(False, None), (True, "sqrt")])
+    def test_forest_on_tied_and_untied_columns_matches_a_brute_force_scan(self, bootstrap, max_features):
+        used = set()
+        for seed in range(3):
+            feats, labels = self.mixed_table(seed)
+            spec = ForestSpec(n_trees=4, max_features=max_features, bootstrap=bootstrap, seed=seed)
+            model = train_random_forest(make(feats, labels), spec)
+            for child, root in zip(np.random.SeedSequence(seed).spawn(4), model.trees):
+                tree_rng = np.random.default_rng(child)
+                idx = tree_rng.integers(0, 40, size=40) if bootstrap else np.arange(40)
+                x, y = feats[idx], labels[idx]
+
+                def gini(left, rows):
+                    n_left, l1 = float(len(left)), int(y[left].sum())
+                    n_right, r1 = rows.size - n_left, int(y[rows].sum()) - l1
+                    cost = 0.0
+                    for n, ones in ((n_left, l1), (n_right, r1)):
+                        p, q = ones / n, (n - ones) / n
+                        cost += n * (1.0 - p * p - q * q)
+                    return cost / rows.size
+
+                def find_split(rows):
+                    if y[rows].min() == y[rows].max():
+                        return None
+                    order = range(5) if max_features is None else tree_rng.permutation(5)
+                    split = self.brute_force_split(x, rows, order, gini, None if max_features is None else 2)
+                    if split is not None:
+                        used.add(split[0])
+                    return split
+
+                self.walk(root, x, None, find_split)
+        assert {0, 1} <= used and 3 not in used
+
+    def test_gbt_on_tied_and_untied_columns_matches_a_brute_force_scan(self):
+        used = set()
+        for seed in range(3):
+            feats, labels = self.mixed_table(seed)
+            spec = GBTSpec(rounds=6, max_depth=3, learning_rate=0.3)
+            model = train_gbt(make(feats, labels), spec)
+            y = labels.astype(np.float64)
+            score = np.full(40, model.base_score)
+            for root in model.trees:
+                p = nn.sigmoid(score)
+                g, h = p - y, p * (1.0 - p)
+
+                def neg_gain(left, rows):
+                    g_tot, h_tot = float(g[rows].sum()), float(h[rows].sum())
+                    gl = hl = 0.0
+                    for r in left:
+                        gl, hl = gl + g[r], hl + h[r]
+                    gr, hr = g_tot - gl, h_tot - hl
+                    gain = gl * gl / (hl + 1.0) + gr * gr / (hr + 1.0) - g_tot**2 / (h_tot + 1.0)
+                    return -0.5 * gain
+
+                def find_split(rows):
+                    split = self.brute_force_split(feats, rows, range(5), neg_gain, max_cost=-1e-12)
+                    if split is not None:
+                        used.add(split[0])
+                    return split
+
+                self.walk(root, feats, 3, find_split)
+                score = score + spec.learning_rate * _tree_apply(root, feats)
+        assert {0, 1} <= used and 3 not in used
 
 
 def preorder(root):

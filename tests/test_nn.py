@@ -385,6 +385,15 @@ class TestBceLoss:
             fd = (nn.bce_loss(pp, t)[0] - nn.bce_loss(pm, t)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5)
 
+    def test_gradient_alone_is_the_loss_gradient_bit_for_bit(self):
+        # saturated predictions too, which both clamp alike
+        rng = np.random.default_rng(1)
+        p = np.concatenate([rng.uniform(0.0, 1.0, size=64), [0.0, 1.0, 1e-9, 1.0 - 1e-9]])
+        t = rng.integers(0, 2, size=p.size).astype(float)
+        assert nn.bce_grad(p, t).tobytes() == nn.bce_loss(p, t)[1].tobytes()
+        with pytest.raises(DimensionMismatchError):
+            nn.bce_grad(np.array([0.5, 0.5]), np.array([1.0]))
+
 
 class TestSerialization:
     def test_non_finite_weights_rejected(self):
