@@ -37,8 +37,25 @@ from .errors import (
 )
 from .oversamplers import adasyn, borderline_smote, random_oversample, smote
 
-SAMPLERS = ("none", "ros", "smote", "b-smote", "adasyn", "cgan", "sdg-gan")
-CLASSIFIERS = ("logreg", "rf", "gbt", "mlp")
+# name -> how a cell balances its scaled training split, and name -> the spec
+# it trains, in default grid order; entries look their functions up in this
+# module when a cell runs, so a wrapper installed here sees every call
+SAMPLERS = {
+    "none": lambda train, seed, gan_config: train,
+    "ros": lambda train, seed, gan_config: random_oversample(train, seed=seed).data,
+    "smote": lambda train, seed, gan_config: smote(train, seed=seed).data,
+    "b-smote": lambda train, seed, gan_config: borderline_smote(train, seed=seed).data,
+    "adasyn": lambda train, seed, gan_config: adasyn(train, seed=seed).data,
+    "cgan": lambda train, seed, gan_config: _gan_balance("cgan", train, seed, gan_config),
+    "sdg-gan": lambda train, seed, gan_config: _gan_balance("sdg-gan", train, seed, gan_config),
+}
+CLASSIFIERS = {
+    "logreg": lambda seed: LogRegSpec(),
+    "rf": lambda seed: ForestSpec(seed=seed),
+    "gbt": lambda seed: GBTSpec(),
+    "mlp": lambda seed: MLPSpec(seed=seed),
+}
+FORMATS = ("csv", "markdown")
 METRICS = ("recall", "precision", "f1")
 METRICS_CSV_HEADER = ["dataset", "sampler", "classifier", "metric", "mean", "std"]
 
@@ -73,8 +90,8 @@ def stable_seed(*parts) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     datasets: tuple[tuple[str, str, str], ...]  # (name, csv path, label column)
-    samplers: tuple[str, ...] = SAMPLERS
-    classifiers: tuple[str, ...] = CLASSIFIERS
+    samplers: tuple[str, ...] = tuple(SAMPLERS)
+    classifiers: tuple[str, ...] = tuple(CLASSIFIERS)
     runs: int = 10
     test_fraction: float = 0.2
     master_seed: int = 0
@@ -87,18 +104,19 @@ class ExperimentConfig:
             raise ConfigInvalidError(f"test_fraction must be in (0,1), got {self.test_fraction}")
         if not self.samplers or not self.classifiers:
             raise ConfigInvalidError("need at least one sampler and one classifier")
-        for s in self.samplers:
-            if s not in SAMPLERS:
-                raise ConfigInvalidError(f"unknown sampler {s!r}; choose from {SAMPLERS}")
-        for c in self.classifiers:
-            if c not in CLASSIFIERS:
-                raise ConfigInvalidError(f"unknown classifier {c!r}; choose from {CLASSIFIERS}")
-        if not self.datasets:
-            raise ConfigInvalidError("need at least one dataset")
-        names = [d[0] for d in self.datasets]
-        for name in names:
-            if names.count(name) > 1:
-                raise ConfigInvalidError(f"duplicate dataset name {name!r}")
+        datasets = tuple(d[0] for d in self.datasets)
+        for kind, names, known in (
+            ("sampler", self.samplers, tuple(SAMPLERS)),
+            ("classifier", self.classifiers, tuple(CLASSIFIERS)),
+            ("dataset", datasets, datasets),
+        ):
+            if not names:  # only datasets get here empty
+                raise ConfigInvalidError(f"need at least one {kind}")
+            for name in names:
+                if name not in known:
+                    raise ConfigInvalidError(f"unknown {kind} {name!r}; choose from {known}")
+                if names.count(name) > 1:
+                    raise ConfigInvalidError(f"duplicate {kind} name {name!r}")
         self.gan_config.validate()
 
 
@@ -121,18 +139,6 @@ class RankTable:
     per_classifier: dict[str, dict[str, float]]  # classifier -> sampler -> mean rank
 
 
-def _classifier_spec(name: str, seed: int):
-    if name == "logreg":
-        return LogRegSpec()
-    if name == "rf":
-        return ForestSpec(seed=seed)
-    if name == "gbt":
-        return GBTSpec()
-    if name == "mlp":
-        return MLPSpec(seed=seed)
-    raise ValueError(f"unknown classifier {name!r}")
-
-
 def _train_gan_with_retry(kind: str, train: Dataset, config, seed: int):
     """GAN training is occasionally unstable; retry once with seed+1 before
     declaring the cell failed."""
@@ -144,21 +150,15 @@ def _train_gan_with_retry(kind: str, train: Dataset, config, seed: int):
     raise GanDivergenceError(f"{kind}: non-finite losses for seeds {seed} and {seed + 1}")
 
 
-def _apply_sampler(name: str, train: Dataset, seed: int, gan_config) -> Dataset:
-    if name == "none":
-        return train
-    if name == "ros":
-        return random_oversample(train, seed=seed).data
-    if name == "smote":
-        return smote(train, seed=seed).data
-    if name == "b-smote":
-        return borderline_smote(train, seed=seed).data
-    if name == "adasyn":
-        return adasyn(train, seed=seed).data
-    if name in ("cgan", "sdg-gan"):
-        model = _train_gan_with_retry(name, train, gan_config, seed)
-        return gan_mod.oversample_to_balance(model, train, seed=stable_seed(seed, "sample")).data
-    raise ValueError(f"unknown sampler {name!r}")
+def _gan_balance(kind: str, train: Dataset, seed: int, gan_config) -> Dataset:
+    model = _train_gan_with_retry(kind, train, gan_config, seed)
+    return gan_mod.oversample_to_balance(model, train, seed=stable_seed(seed, "sample")).data
+
+
+def _entry(table: dict, kind: str, name: str):
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def run_cell(
@@ -175,8 +175,8 @@ def run_cell(
     scaler = minmax_fit(split.train)
     train_s = minmax_transform(scaler, split.train)
     test_s = minmax_transform(scaler, split.test)
-    balanced = _apply_sampler(sampler, train_s, stable_seed(run_seed, "sampler"), gan_config)
-    spec = _classifier_spec(classifier, stable_seed(run_seed, "classifier"))
+    balanced = _entry(SAMPLERS, "sampler", sampler)(train_s, stable_seed(run_seed, "sampler"), gan_config)
+    spec = _entry(CLASSIFIERS, "classifier", classifier)(stable_seed(run_seed, "classifier"))
     model = train_classifier(balanced, spec)
     y_pred = predict_labels(model, test_s.features)
     return compute_metrics(test_s.labels, y_pred)
@@ -398,8 +398,8 @@ def emit_report(
     """
     if not report.cells and not report.failures:
         raise ValueError("refusing to write an empty report")
-    if fmt not in ("csv", "markdown"):
-        raise ValueError(f"format must be csv or markdown, got {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be {' or '.join(FORMATS)}, got {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if fmt == "csv":

@@ -22,6 +22,13 @@ from .data import read_utf8, save_csv
 from .errors import ConfigInvalidError, ImbenchError
 from .gan import TrainingConfig
 
+# each run setting that a config key and a flag of the same name both set, and
+# the type of its value; the lists and paths stay text until _run_settings
+RUN_SETTINGS = {
+    "samplers": str, "classifiers": str, "runs": int, "seed": int,
+    "test_fraction": float, "gan_epochs": int, "out_dir": str, "format": str,
+}
+
 
 def _parse_config_file(path: str) -> dict:
     out: dict = {"datasets": []}
@@ -38,10 +45,8 @@ def _parse_config_file(path: str) -> dict:
             if len(parts) != 3:
                 raise ConfigInvalidError(f"{where}: dataset needs 'name, path, label_column'")
             out["datasets"].append(tuple(parts))
-        elif key in ("samplers", "classifiers", "out_dir", "format"):
-            out[key] = value  # parsed with the flags of the same name in _run_settings
-        elif key in ("runs", "seed", "gan_epochs", "test_fraction"):
-            kind = float if key == "test_fraction" else int
+        elif key in RUN_SETTINGS:
+            kind = RUN_SETTINGS[key]
             try:
                 out[key] = kind(value)
             except ValueError:
@@ -64,7 +69,7 @@ def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
         raise ConfigInvalidError("no datasets (use --dataset or a config file)")
 
     # flags override the file; a run setting neither sets keeps ExperimentConfig's default
-    for key in ("samplers", "classifiers", "runs", "seed", "test_fraction", "gan_epochs", "out_dir", "format"):
+    for key in RUN_SETTINGS:
         if getattr(args, key) is not None:
             settings[key] = getattr(args, key)
     for key in ("samplers", "classifiers"):
@@ -76,8 +81,8 @@ def _run_settings(args) -> tuple[bench.ExperimentConfig, str, str]:
         settings["gan_config"] = TrainingConfig(epochs=settings.pop("gan_epochs"))
     out_dir = settings.pop("out_dir", "bench-out")
     fmt = settings.pop("format", "csv")
-    if fmt not in ("csv", "markdown"):
-        raise ConfigInvalidError(f"format must be csv or markdown, got {fmt!r}")
+    if fmt not in bench.FORMATS:
+        raise ConfigInvalidError(f"format must be {' or '.join(bench.FORMATS)}, got {fmt!r}")
     return bench.ExperimentConfig(datasets=tuple(datasets), **settings), out_dir, fmt
 
 
@@ -93,16 +98,9 @@ def _check_out_dir(out_dir: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    # everything that can escape before the first cell runs is bad input: the flags,
-    # the config file, the output directory, or a missing or malformed dataset file
-    # (a config or dataset file that is not UTF-8 raises UnicodeDecodeError)
-    try:
-        config, out_dir, fmt = _run_settings(args)
-        _check_out_dir(out_dir)
-        report = bench.run_benchmark(config, max_workers=args.workers)
-    except (ImbenchError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config, out_dir, fmt = _run_settings(args)
+    _check_out_dir(out_dir)
+    report = bench.run_benchmark(config, max_workers=args.workers)
     # rank the (dataset, classifier) pairs whose every sampler succeeded
     excluded = sorted({(d, c) for d, _, c in report.failures})
     f1 = {k: v for k, v in bench.report_to_f1_table(report).items() if k[:2] not in excluded}
@@ -120,12 +118,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        ds = bench.synth_dataset(args.minority, args.majority, args.features, args.separation, args.seed)
-        save_csv(ds, args.out, label_column="label")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ds = bench.synth_dataset(args.minority, args.majority, args.features, args.separation, args.seed)
+    save_csv(ds, args.out, label_column="label")
     print(f"wrote {args.out} ({ds.n_rows} rows, {ds.n_features} features)")
     return 0
 
@@ -133,22 +127,18 @@ def _cmd_synth(args) -> int:
 def _cmd_rank(args) -> int:
     required = {"dataset", "classifier", "sampler", "f1"}
     table: dict[tuple[str, str, str], float] = {}
-    try:
-        reader = csv.DictReader(io.StringIO(read_utf8(args.f1_table), newline=None))
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"rank input needs columns {sorted(required)}")
-        for row in reader:
-            key = (row["dataset"], row["classifier"], row["sampler"])
-            f1 = float(row["f1"])
-            if not math.isfinite(f1):
-                raise ValueError(f"non-finite F1 {row['f1']!r} for {key}")
-            if key in table:
-                raise ValueError(f"more than one F1 for {key}")
-            table[key] = f1
-        bench.write_ranks_csv(bench.mean_rank(table), args.out)
-    except (ValueError, OSError) as exc:  # IncompleteTableError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reader = csv.DictReader(io.StringIO(read_utf8(args.f1_table), newline=None))
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ValueError(f"rank input needs columns {sorted(required)}")
+    for row in reader:
+        key = (row["dataset"], row["classifier"], row["sampler"])
+        f1 = float(row["f1"])
+        if not math.isfinite(f1):
+            raise ValueError(f"non-finite F1 {row['f1']!r} for {key}")
+        if key in table:
+            raise ValueError(f"more than one F1 for {key}")
+        table[key] = f1
+    bench.write_ranks_csv(bench.mean_rank(table), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -168,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--test-fraction", type=float, default=None)
     run.add_argument("--gan-epochs", type=int, default=None, help="override GAN epochs (desk-scale runs)")
     run.add_argument("--out-dir", default=None)
-    run.add_argument("--format", choices=("csv", "markdown"), default=None)
+    run.add_argument("--format", choices=bench.FORMATS, default=None)
     run.add_argument("--workers", type=int, default=1, help="most cells in flight (>= 1); cells run one at a time")
     run.set_defaults(func=_cmd_run)
 
@@ -189,8 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its bad input is one ``error:`` line and exit 2 (a file
+    that is not UTF-8 raises UnicodeDecodeError, a ValueError)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ImbenchError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -252,11 +252,13 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSp
             raise TooFewRowsError(f"class {c} has {idx.size} rows; need at least 2")
         perm = rng.permutation(idx)
         n_train = min(_round_half_up(idx.size * (1.0 - test_fraction)), idx.size)
+        if n_train == 0:
+            raise TooFewRowsError(f"class {c} has {idx.size} rows, none to train at test_fraction {test_fraction}")
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
     tr = np.concatenate(train_idx)
     te = np.concatenate(test_idx)
-    if te.size == 0 or tr.size == 0:
+    if te.size == 0:
         raise TooFewRowsError("split left one side empty; dataset too small for this fraction")
     train = Dataset(d.features[tr], d.labels[tr], d.feature_names)
     test = Dataset(d.features[te], d.labels[te], d.feature_names)

@@ -72,7 +72,58 @@ def trivially_separable(n=60):
     return Dataset(feats, labels, ("a", "b"))
 
 
+class Reached(Exception):
+    """Raised by a spy in place of the bench global it stands for."""
+
+
+def install_spies(monkeypatch, names):
+    def spy(name):
+        def call(*args, **kwargs):
+            raise Reached(name, args, kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(bench, name, spy(name))
+
+
+# the first of these bench globals that each table entry reaches when its cell
+# runs; "none" hands the scaled split to the classifier as it is
+SAMPLER_REACHES = {
+    "none": "train_classifier",
+    "ros": "random_oversample",
+    "smote": "smote",
+    "b-smote": "borderline_smote",
+    "adasyn": "adasyn",
+    "cgan": "_train_gan_with_retry",
+    "sdg-gan": "_train_gan_with_retry",
+}
+CLASSIFIER_REACHES = {"logreg": "LogRegSpec", "rf": "ForestSpec", "gbt": "GBTSpec", "mlp": "MLPSpec"}
+
+
 class TestRunCell:
+    @pytest.mark.parametrize("sampler", list(bench.SAMPLERS))
+    def test_sampler_entry_reaches_the_module_global(self, monkeypatch, sampler):
+        # a wrapper installed on bench, as perfbench's tracer installs one,
+        # must see the call: no entry may hold on to the function it had at import
+        install_spies(monkeypatch, set(SAMPLER_REACHES.values()))
+        with pytest.raises(Reached) as info:
+            run_cell(trivially_separable(), sampler, "logreg", run_seed=0)
+        name, args, kwargs = info.value.args
+        assert name == SAMPLER_REACHES[sampler]
+        if name == "_train_gan_with_retry":
+            assert args[0] == sampler and args[3] == stable_seed(0, "sampler")
+        elif name != "train_classifier":
+            assert kwargs == {"seed": stable_seed(0, "sampler")}
+
+    @pytest.mark.parametrize("classifier", list(bench.CLASSIFIERS))
+    def test_classifier_entry_reaches_the_module_global(self, monkeypatch, classifier):
+        install_spies(monkeypatch, CLASSIFIER_REACHES.values())
+        with pytest.raises(Reached) as info:
+            run_cell(trivially_separable(), "none", classifier, run_seed=0)
+        seeded = {"seed": stable_seed(0, "classifier")} if classifier in ("rf", "mlp") else {}
+        assert info.value.args == (CLASSIFIER_REACHES[classifier], (), seeded)
+
     def test_separable_fixture_perfect_f1(self):
         ds = trivially_separable()
         r, p, f1 = run_cell(ds, "none", "rf", run_seed=7)
@@ -97,6 +148,10 @@ class TestRunCell:
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
             run_cell(trivially_separable(), "nope", "logreg", 0)
+
+    def test_unknown_classifier(self):
+        with pytest.raises(ValueError, match="^unknown classifier 'nope'$"):
+            run_cell(trivially_separable(), "none", "nope", 0)
 
     def test_sampler_warnings_reach_the_caller(self):
         # 3 minority rows train, so SMOTE's k=5 is capped at 2
@@ -261,6 +316,21 @@ class TestRunBenchmark:
         with pytest.raises(ConfigInvalidError):
             run_benchmark(replace(config, **change), max_workers=workers)
         assert cells == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"samplers": ("none", "smote", "smote")}, "duplicate sampler name 'smote'"),
+            ({"classifiers": ("logreg", "logreg")}, "duplicate classifier name 'logreg'"),
+            ({"samplers": ("none", "nope")}, "unknown sampler 'nope'; choose from " + repr(tuple(bench.SAMPLERS))),
+            ({"classifiers": ("svm",)}, "unknown classifier 'svm'; choose from " + repr(tuple(bench.CLASSIFIERS))),
+        ],
+        ids=["sampler-twice", "classifier-twice", "unknown-sampler", "unknown-classifier"],
+    )
+    def test_repeated_or_unknown_name_rejected(self, change, message):
+        config = replace(ExperimentConfig(datasets=(("a", "a.csv", "y"),)), **change)
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+            config.validate()
 
     def test_loaded_names_must_be_configured(self, monkeypatch):
         # a mistyped key is named before any file loads or any cell runs

@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,40 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg), *out_dir, *flags]) == 2
         assert capsys.readouterr().err == message
         assert cells == [] and sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "toy.csv"]
+
+    @pytest.mark.parametrize(
+        "flags, cfg_line, message",
+        [
+            (["--samplers", "smote,none,smote"], "", "error: duplicate sampler name 'smote'\n"),
+            (["--classifiers", "logreg,logreg"], "", "error: duplicate classifier name 'logreg'\n"),
+            ([], "samplers = none, ros, none\n", "error: duplicate sampler name 'none'\n"),
+            ([], "classifiers = rf, gbt, rf\n", "error: duplicate classifier name 'rf'\n"),
+        ],
+        ids=["samplers-flag", "classifiers-flag", "samplers-config", "classifiers-config"],
+    )
+    def test_repeated_name_is_usage_error(self, tmp_path, capsys, monkeypatch, flags, cfg_line, message):
+        # a name given twice would run its cells twice: rejected before any cell runs
+        cells = []
+        monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = toy, {write_toy_csv(tmp_path)}, y\nsamplers = none\nclassifiers = logreg\n{cfg_line}")
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out-dir", str(out_dir), *flags]) == 2
+        assert capsys.readouterr().err == message
+        assert cells == [] and not (out_dir / "metrics.csv").exists()
+
+    def test_help_lists_the_tables(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "400")  # one help line per option
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        listed = {
+            flag: re.search(rf"^\s*{flag} \S+\s+comma list from: (\S+)$", out, re.M).group(1).split(",")
+            for flag in ("--samplers", "--classifiers")
+        }
+        assert listed == {"--samplers": list(bench.SAMPLERS), "--classifiers": list(bench.CLASSIFIERS)}
+        assert re.search(r"--format \{([^}]*)\}", out).group(1).split(",") == list(bench.FORMATS)
 
     def test_missing_dataset_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from imbench.bench import synth_dataset
 from imbench.data import (
     Dataset,
     ImbalanceStats,
@@ -207,6 +208,19 @@ class TestStratifiedSplit:
         ds = make_dataset([[1.0], [2.0], [3.0]], [1, 0, 0])
         with pytest.raises(TooFewRowsError):
             stratified_split(ds, 0.2, seed=0)
+
+    def test_class_left_without_training_rows_rejected(self):
+        # round-half-up(3 * 0.1) is 0: the minority would have no training row
+        ds = synth_dataset(3, 30, 2, 0.3, seed=0)
+        with pytest.raises(TooFewRowsError, match=r"^class 1 has 3 rows, none to train at test_fraction 0\.9$"):
+            stratified_split(ds, 0.9, seed=1)
+
+    def test_class_without_test_rows_allowed(self, make_dataset):
+        # 2 * 0.8 = 1.6 rounds to 2: the minority is all training rows
+        ds = make_dataset([[float(i)] for i in range(12)], [1, 1] + [0] * 10)
+        split = stratified_split(ds, 0.2, seed=0)
+        assert int(np.sum(split.train.labels == 1)) == 2
+        assert int(np.sum(split.test.labels == 1)) == 0 and split.test.n_rows == 2
 
 
 class TestImbalanceStats:
