@@ -29,11 +29,14 @@ from .classifiers import (
     train_classifier,
 )
 from .data import MINORITY, Dataset, minmax_fit, minmax_transform, stratified_split
+from .data import require_both_classes, train_sizes
 from .errors import (
     ConfigInvalidError,
     DimensionMismatchError,
     GanDivergenceError,
     IncompleteTableError,
+    SingleClassError,
+    TooFewRowsError,
 )
 from .oversamplers import adasyn, borderline_smote, random_oversample, smote
 
@@ -268,8 +271,9 @@ def run_benchmark(
 
     ``loaded`` short-circuits CSV loading for datasets already in memory
     (keyed by config dataset name; any other key is rejected before anything
-    loads). A failing cell is recorded in report.failures; the rest of the
-    grid still completes.
+    loads). A dataset no split can be made from at ``test_fraction`` raises
+    ConfigInvalidError, naming it, before any cell runs. A failing cell is
+    recorded in report.failures; the rest of the grid still completes.
 
     ``max_workers`` (>= 1) is the most cells in flight, which a grid run in
     order always meets: cells hold the GIL between numpy calls, so a thread
@@ -292,6 +296,11 @@ def run_benchmark(
             datasets[name] = loaded[name]
         else:
             datasets[name], _ = load_csv(path, label_col)
+        try:  # the split's own checks, without drawing a split
+            require_both_classes(datasets[name], "stratified split")
+            train_sizes(datasets[name].labels, config.test_fraction)
+        except (SingleClassError, TooFewRowsError) as exc:
+            raise ConfigInvalidError(f"dataset {name!r}: {exc}") from exc
 
     # the one statement of the grid order: each cell's runs are consecutive tasks
     tasks = [

@@ -234,32 +234,35 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSplit:
-    """Seeded per-class shuffle-and-cut split.
+def train_sizes(labels: np.ndarray, test_fraction: float) -> tuple[int, int]:
+    """Training rows of class 0 and class 1 in a stratified split: each class
+    keeps round-half-up(count * (1 - test_fraction)) rows, at most its count.
+    Raises TooFewRowsError unless each class has at least 2 rows and keeps
+    one, and at least one row is left to test."""
+    counts = np.bincount(labels, minlength=2).tolist()
+    sizes = []
+    for c, n in enumerate(counts):
+        if n < 2:
+            raise TooFewRowsError(f"class {c} has {n} rows; need at least 2")
+        sizes.append(min(_round_half_up(n * (1.0 - test_fraction)), n))
+        if sizes[c] == 0:
+            raise TooFewRowsError(f"class {c} has {n} rows, none to train at test_fraction {test_fraction}")
+    if sum(sizes) == sum(counts):
+        raise TooFewRowsError("split left one side empty; dataset too small for this fraction")
+    return sizes[0], sizes[1]
 
-    Each class contributes round-half-up(count * (1 - test_fraction)) rows
-    to train, the remainder to test.
-    """
+
+def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSplit:
+    """Seeded per-class shuffle-and-cut split: each class's first
+    ``train_sizes`` rows of a permutation train, the rest test."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
     require_both_classes(d, "stratified split")
+    sizes = train_sizes(d.labels, test_fraction)
     rng = np.random.default_rng(seed)
-    train_idx: list[np.ndarray] = []
-    test_idx: list[np.ndarray] = []
-    for c in (0, 1):
-        idx = np.flatnonzero(d.labels == c)
-        if idx.size < 2:
-            raise TooFewRowsError(f"class {c} has {idx.size} rows; need at least 2")
-        perm = rng.permutation(idx)
-        n_train = min(_round_half_up(idx.size * (1.0 - test_fraction)), idx.size)
-        if n_train == 0:
-            raise TooFewRowsError(f"class {c} has {idx.size} rows, none to train at test_fraction {test_fraction}")
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx)
-    if te.size == 0:
-        raise TooFewRowsError("split left one side empty; dataset too small for this fraction")
+    perms = [rng.permutation(np.flatnonzero(d.labels == c)) for c in (0, 1)]
+    tr = np.concatenate([p[:n] for p, n in zip(perms, sizes)])
+    te = np.concatenate([p[n:] for p, n in zip(perms, sizes)])
     train = Dataset(d.features[tr], d.labels[tr], d.feature_names)
     test = Dataset(d.features[te], d.labels[te], d.feature_names)
     return TrainTestSplit(train, test)

@@ -12,6 +12,7 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ def test_criterion_8_deterministic_reports(tmp_path):
             report = run_benchmark(config, max_workers=workers)
             rank = mean_rank(bench.report_to_f1_table(report))
             paths = emit_report(report, rank, tmp_path / out)
-            blobs.append(tuple(open(p, "rb").read() for p in paths))
+            blobs.append(tuple(Path(p).read_bytes() for p in paths))
         assert blobs[0] == blobs[1] == blobs[2]
 
 

@@ -2,6 +2,7 @@ import re
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +344,25 @@ class TestRunBenchmark:
             run_benchmark(config, loaded=loaded)
         assert calls == []
 
+    def test_unsplittable_dataset_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        # round-half-up(3 * 0.1) is 0: no split at 0.9 leaves class 1 a training row
+        tasks = []
+        monkeypatch.setattr(bench, "_run_one", tasks.append)
+        config = small_config(tmp_path, synth_dataset(3, 30, 2, 0.3, seed=0), runs=1)
+        message = "dataset 'toy': class 1 has 3 rows, none to train at test_fraction 0.9"
+        with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
+            run_benchmark(replace(config, test_fraction=0.9))
+        assert tasks == []
+
+    def test_single_class_loaded_dataset_rejected_before_any_cell(self, monkeypatch):
+        tasks = []
+        monkeypatch.setattr(bench, "_run_one", tasks.append)
+        one_class = Dataset(np.arange(6.0).reshape(3, 2), np.ones(3, dtype=np.int64), ("a", "b"))
+        config = ExperimentConfig(datasets=(("a", "", ""),), samplers=("none",), classifiers=("logreg",), runs=1)
+        with pytest.raises(ConfigInvalidError, match="^dataset 'a': stratified split needs both classes present$"):
+            run_benchmark(config, loaded={"a": one_class})
+        assert tasks == []
+
     def test_seed_derivation_is_stable(self):
         assert stable_seed(1, "a", 2) == stable_seed(1, "a", 2)
         assert stable_seed(1, "a", 2) != stable_seed(1, "a", 3)
@@ -588,7 +608,7 @@ class TestEmitReport:
 
     def test_one_cell_gives_three_rows(self, tmp_path):
         paths = emit_report(one_cell_report(), None, tmp_path)
-        lines = open(paths[0]).read().strip().splitlines()
+        lines = Path(paths[0]).read_text().strip().splitlines()
         assert lines[0] == "dataset,sampler,classifier,metric,mean,std"
         assert len(lines) == 4
 
@@ -607,13 +627,14 @@ class TestEmitReport:
         expected = "dataset,sampler,classifier,metric,mean,std\n" + "".join(
             f"d,s,c,{m},{stats.mean[m]!r},{stats.std[m]!r}\n" for m in ("recall", "precision", "f1")
         )
-        assert open(paths[0], newline="").read() == expected
+        with open(paths[0], newline="") as fh:
+            assert fh.read() == expected
 
     def test_comma_in_dataset_name_round_trips(self, tmp_path):
         stats = one_cell_report().cells[("d", "s", "c")]
         report = MetricsReport({('a,"b"', "s", "c"): stats}, {})
         paths = emit_report(report, None, tmp_path)
-        assert open(paths[0]).read().splitlines()[1].startswith('"a,""b""",s,c,recall,')
+        assert Path(paths[0]).read_text().splitlines()[1].startswith('"a,""b""",s,c,recall,')
         parsed = parse_metrics_csv(paths[0])
         assert parsed[('a,"b"', "s", "c", "f1")] == (stats.mean["f1"], stats.std["f1"])
         assert len(parsed) == 3
@@ -621,7 +642,7 @@ class TestEmitReport:
     def test_markdown_contains_tables(self, tmp_path):
         table = {("d", "c", s): v for s, v in (("A", 0.9), ("B", 0.5))}
         paths = emit_report(one_cell_report(), mean_rank(table), tmp_path, fmt="markdown")
-        text = open(paths[0]).read()
+        text = Path(paths[0]).read_text()
         assert "## d" in text and "Mean rank" in text
 
     def test_report_to_f1_table_layout(self):

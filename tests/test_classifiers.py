@@ -511,6 +511,28 @@ class TestTreeDigest:
         assert train.features.shape == (1920, 16)
         assert tree_digest([train_classifier(train, self.WIDE_SPECS[name])]) == self.WIDE_DIGESTS[name]
 
+    # the same split balanced by ROS. Its columns repeat values only within
+    # copies of one row, and a cut inside such a run never scores below both
+    # of its ends, so these trees hold with or without the mask on cuts
+    # between equal values; rounded to 2 decimals, equal values span both
+    # classes, and the trees change when the mask goes
+    WIDE_ROS_DIGESTS = {
+        ("ros", "gbt"): "1b530553c64c0a5b4c244abd92cf5980eef97679255614d5be5311691b5251c1",
+        ("ros", "rf"): "f1255c3c49aebcc9fa368596072b96f9c9835c0f46dc83f52609d464a99f7a4a",
+        ("ros-2dp", "gbt"): "9a39d0287c8e405508d839a2e831b61811870ba98344de854cb4296d6327a29d",
+        ("ros-2dp", "rf"): "0258d4ecc9524b7a297019bf645a6b88fe49408e3f8626abbb82ca8b0c443fdf",
+    }
+
+    @pytest.mark.parametrize("table, name", sorted(WIDE_ROS_DIGESTS))
+    def test_wide_ros_trees_hash_to_the_recorded_digest(self, table, name):
+        split = stratified_split(synth_dataset(300, 1200, 16, 0.15, seed=1), 0.2, seed=1).train
+        if table == "ros-2dp":
+            split = Dataset(np.round(split.features, 2), split.labels, split.feature_names)
+        train = random_oversample(split, seed=1).data
+        assert train.features.shape == (1920, 16)
+        digest = tree_digest([train_classifier(train, self.WIDE_SPECS[name])])
+        assert digest == self.WIDE_ROS_DIGESTS[(table, name)]
+
 
 class TestMLP:
     def test_zero_epochs_near_half(self):

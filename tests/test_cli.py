@@ -111,6 +111,24 @@ class TestRunCommand:
         assert code == 0
         assert (out_dir / "report.md").is_file()
 
+    def test_fraction_leaving_a_class_no_training_row_exits_2(self, tmp_path, capsys):
+        # round-half-up(3 * 0.1) is 0: no split at 0.9 leaves class 1 a training row
+        csv_path = tmp_path / "tiny.csv"
+        save_csv(synth_dataset(3, 30, 2, 0.3, seed=0), csv_path, label_column="y")
+        out_dir = tmp_path / "out"
+        code = cli.main(
+            [
+                "run", "--dataset", str(csv_path), "--label-col", "y",
+                "--samplers", "none,smote", "--classifiers", "logreg",
+                "--runs", "1", "--test-fraction", "0.9", "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dataset 'tiny': class 1 has 3 rows, none to train at test_fraction 0.9\n"
+        assert not out_dir.exists()
+
     def test_failed_cell_returns_nonzero(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("cell died")

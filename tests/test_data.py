@@ -1,4 +1,6 @@
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from imbench.data import (
     minmax_transform,
     save_csv,
     stratified_split,
+    train_sizes,
 )
 from imbench.errors import (
     DimensionMismatchError,
@@ -221,6 +224,42 @@ class TestStratifiedSplit:
         split = stratified_split(ds, 0.2, seed=0)
         assert int(np.sum(split.train.labels == 1)) == 2
         assert int(np.sum(split.test.labels == 1)) == 0 and split.test.n_rows == 2
+
+
+class TestTrainSizes:
+    def test_matches_the_rule_by_hand(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(2000):
+            counts = rng.integers(0, 10, 2).tolist()
+            frac = float(rng.uniform(0.05, 0.95))
+            labels = rng.permutation(np.repeat([0, 1], counts))
+            # each class in turn: at least 2 rows, then at least one kept
+            # after round-half-up; then at least one test row overall
+            sizes, expected = [], None
+            for c, n in enumerate(counts):
+                keep = min(int(math.floor(n * (1 - frac) + 0.5)), n)
+                if n < 2:
+                    expected, case = f"class {c} has {n} rows; need at least 2", f"class {c} under 2"
+                elif keep == 0:
+                    expected = f"class {c} has {n} rows, none to train at test_fraction {frac}"
+                    case = f"class {c} none to train"
+                if expected:
+                    break
+                sizes.append(keep)
+            if expected is None and sum(sizes) == sum(counts):
+                expected, case = "split left one side empty; dataset too small for this fraction", "no test row"
+            if expected is None:
+                assert train_sizes(labels, frac) == tuple(sizes)
+                case = "valid"
+            else:
+                with pytest.raises(TooFewRowsError, match=f"^{re.escape(expected)}$"):
+                    train_sizes(labels, frac)
+            seen.add(case)
+        assert seen == {
+            "valid", "class 0 under 2", "class 1 under 2",
+            "class 0 none to train", "class 1 none to train", "no test row",
+        }
 
 
 class TestImbalanceStats:
