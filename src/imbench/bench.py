@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from . import gan as gan_mod
 from .classifiers import (
     ForestSpec,
@@ -37,6 +38,7 @@ from .errors import (
     IncompleteTableError,
     SingleClassError,
     TooFewRowsError,
+    at_least,
 )
 from .oversamplers import adasyn, borderline_smote, random_oversample, smote
 
@@ -101,8 +103,7 @@ class ExperimentConfig:
     gan_config: gan_mod.TrainingConfig = field(default_factory=gan_mod.TrainingConfig)
 
     def validate(self) -> None:
-        if self.runs < 1:
-            raise ConfigInvalidError("runs must be >= 1")
+        at_least(1, runs=self.runs)
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigInvalidError(f"test_fraction must be in (0,1), got {self.test_fraction}")
         if not self.samplers or not self.classifiers:
@@ -279,14 +280,8 @@ def run_benchmark(
     order always meets: cells hold the GIL between numpy calls, so a thread
     pool made the grid slower, not faster.
     """
-    # imported on each call so a wrapper installed on data.load_csv, as
-    # perfbench's tracer installs one, sees every load; a module-level
-    # import would keep the original and silently zero data.load_csv_s
-    from .data import load_csv
-
     config.validate()
-    if max_workers < 1:
-        raise ConfigInvalidError(f"workers must be >= 1, got {max_workers}")
+    at_least(1, workers=max_workers)
     unknown = sorted(set(loaded or ()) - {name for name, _, _ in config.datasets})
     if unknown:
         raise ConfigInvalidError(f"loaded datasets {unknown} are not in the config")
@@ -295,7 +290,8 @@ def run_benchmark(
         if loaded and name in loaded:
             datasets[name] = loaded[name]
         else:
-            datasets[name], _ = load_csv(path, label_col)
+            # through the module, so a wrapper on data.load_csv sees every load
+            datasets[name], _ = data.load_csv(path, label_col)
         try:  # the split's own checks, without drawing a split
             require_both_classes(datasets[name], "stratified split")
             train_sizes(datasets[name].labels, config.test_fraction)
@@ -369,8 +365,7 @@ def synth_dataset(
 ) -> Dataset:
     """Two spherical Gaussians clipped to [0,1]: majority at 0.35, minority
     at 0.35 + separation, both with sigma 0.1 per coordinate."""
-    if n_minority < 1 or n_majority < 1 or n_features < 1:
-        raise ValueError("counts and feature dimension must be positive")
+    at_least(1, n_minority=n_minority, n_majority=n_majority, n_features=n_features)
     rng = np.random.default_rng(seed)
     maj = rng.normal(0.35, 0.1, size=(n_majority, n_features))
     mino = rng.normal(0.35 + separation, 0.1, size=(n_minority, n_features))
@@ -463,12 +458,7 @@ def emit_report(
 def parse_metrics_csv(path) -> dict[tuple[str, str, str, str], tuple[float, float]]:
     """Inverse of the CSV writer: (dataset, sampler, classifier, metric) ->
     (mean, std)."""
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header != METRICS_CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        for d, s, c, m, mean, std in rows:
-            out[(d, s, c, m)] = (float(mean), float(std))
-    return out
+    header, rows = data.read_rows(path)
+    if header != METRICS_CSV_HEADER:
+        raise ValueError(f"unexpected header {header!r}")
+    return {(d, s, c, m): (float(mean), float(std)) for _, (d, s, c, m, mean, std) in rows}

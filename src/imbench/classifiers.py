@@ -16,16 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, require_both_classes
-from .errors import DimensionMismatchError
-
-
-def _check_at_least(spec, **lows) -> None:
-    """Raise naming the first of spec's fields that is below its lower bound;
-    None (an unlimited max_depth) has no bound."""
-    for field, low in lows.items():
-        value = getattr(spec, field)
-        if value is not None and value < low:
-            raise ValueError(f"{field} must be >= {low}, got {value}")
+from .errors import DimensionMismatchError, at_least
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticMode
     """Full-batch gradient descent on mean BCE from zero weights."""
     spec = spec or LogRegSpec()
     require_both_classes(train, "classifier training")
-    _check_at_least(spec, iterations=0)
+    at_least(0, iterations=spec.iterations)
     x, y = train.features, train.labels.astype(np.float64)
     n = train.n_rows
     w, b = np.zeros(train.n_features), 0.0
@@ -366,7 +357,8 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
     require_both_classes(train, "classifier training")
     if spec.max_features not in ("sqrt", None):
         raise ValueError(f"unknown max_features {spec.max_features!r}")
-    _check_at_least(spec, n_trees=1, max_depth=0)
+    at_least(1, n_trees=spec.n_trees)
+    at_least(0, max_depth=spec.max_depth)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
     x, y, n = train.features, train.labels, train.n_rows
     ranks = _value_ranks(x)
@@ -439,7 +431,7 @@ def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
     Hessian-weighted leaf values, initialized at the prior log-odds."""
     spec = spec or GBTSpec()
     require_both_classes(train, "classifier training")
-    _check_at_least(spec, rounds=0, l2=0, max_depth=0)
+    at_least(0, rounds=spec.rounds, l2=spec.l2, max_depth=spec.max_depth)
     x, y = train.features, train.labels.astype(np.float64)
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
@@ -477,7 +469,8 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPMode
     """Mini-batch Adam on BCE over a ReLU MLP with sigmoid output."""
     spec = spec or MLPSpec()
     require_both_classes(train, "classifier training")
-    _check_at_least(spec, epochs=0, batch_size=1)
+    at_least(0, epochs=spec.epochs)
+    at_least(1, batch_size=spec.batch_size)
     rng = np.random.default_rng(spec.seed)
     sizes = [train.n_features, *spec.hidden, 1]
     dims = list(zip(sizes[:-1], sizes[1:]))

@@ -10,15 +10,13 @@ Flags override file values.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
 from pathlib import Path
 
 from . import bench
-from .data import read_utf8, save_csv
+from .data import read_rows, read_utf8, save_csv
 from .errors import ConfigInvalidError, ImbenchError
 from .gan import TrainingConfig
 
@@ -127,10 +125,11 @@ def _cmd_synth(args) -> int:
 def _cmd_rank(args) -> int:
     required = {"dataset", "classifier", "sampler", "f1"}
     table: dict[tuple[str, str, str], float] = {}
-    reader = csv.DictReader(io.StringIO(read_utf8(args.f1_table), newline=None))
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    header, rows = read_rows(args.f1_table)
+    if not required.issubset(header):
         raise ValueError(f"rank input needs columns {sorted(required)}")
-    for row in reader:
+    for _, cells in rows:
+        row = dict(zip(header, cells))
         key = (row["dataset"], row["classifier"], row["sampler"])
         f1 = float(row["f1"])
         if not math.isfinite(f1):

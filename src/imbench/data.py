@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,32 +119,24 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
     """Read a UTF-8 CSV with a header row into a Dataset, and the mapping of
     raw label values to 0/1.
 
-    The label column must hold exactly two distinct values; the rarer one is
-    mapped to 1 (ties broken by mapping the lexicographically smaller value
-    to 0). All other columns must parse as finite reals.
+    The label column must appear once in the header and hold exactly two
+    distinct values; the rarer one is mapped to 1 (ties broken by mapping
+    the lexicographically smaller value to 0). All other columns must parse
+    as finite reals.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDatasetError(f"{path}: file is empty") from None
-    header = [h.strip() for h in header]
+    header, records = read_rows(path)
     if label_column not in header:
         raise MissingColumnError(f"label column {label_column!r} not in header {header}")
+    if header.count(label_column) > 1:
+        raise MissingColumnError(f"label column {label_column!r} appears more than once in header {header}")
     label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
     rows: list[list[float]] = []
     raw_labels: list[str] = []
-    for line_no, rec in enumerate(reader, start=2):
-        if not rec or all(cell.strip() == "" for cell in rec):
-            continue
-        if len(rec) != len(header):
-            raise DimensionMismatchError(
-                f"line {line_no}: expected {len(header)} cells, got {len(rec)}"
-            )
+    for line_no, rec in records:
         vals = []
         for j, cell in enumerate(rec):
             if j == label_idx:
@@ -173,6 +166,29 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
     labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
     ds = Dataset(np.array(rows, dtype=np.float64), labels, feature_names)
     return ds, mapping
+
+
+def read_rows(path: str | os.PathLike) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """A UTF-8 CSV file's header, names stripped, and an iterator over its
+    non-blank rows as (line the row ends on, cells). An empty file raises
+    EmptyDatasetError at once, a row whose cell count differs from the
+    header's DimensionMismatchError when reached, so errors keep file order."""
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise EmptyDatasetError(f"{path}: file is empty") from None
+
+    def records():
+        for rec in reader:
+            if any(cell.strip() for cell in rec):
+                if len(rec) != len(header):
+                    raise DimensionMismatchError(
+                        f"line {reader.line_num}: expected {len(header)} cells, got {len(rec)}"
+                    )
+                yield reader.line_num, rec
+
+    return header, records()
 
 
 def read_utf8(path: str | os.PathLike) -> str:

@@ -3,7 +3,7 @@
 Builtins are reused where Python already has the right word for it
 (FileNotFoundError for missing files, IndexError for bad layer indices);
 everything domain-specific gets a named class so callers can catch
-precisely.
+precisely. ``at_least`` is the one lower-bound check of numeric settings.
 """
 
 
@@ -59,6 +59,14 @@ class MinorityTooSmallError(ImbenchError, ValueError):
 
 class ConfigInvalidError(ImbenchError, ValueError):
     """A training or experiment configuration violates its invariants."""
+
+
+def at_least(low, **values) -> None:
+    """Raise ConfigInvalidError naming the first of ``values`` below ``low``;
+    None (an unlimited setting) has no bound."""
+    for name, value in values.items():
+        if value is not None and value < low:
+            raise ConfigInvalidError(f"{name} must be >= {low}, got {value}")
 
 
 class CacheMismatchError(ImbenchError, ValueError):

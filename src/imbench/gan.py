@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .data import MINORITY, Dataset, require_both_classes
-from .errors import ConfigInvalidError, DimensionMismatchError
+from .errors import ConfigInvalidError, DimensionMismatchError, at_least
 from .oversamplers import AugmentedDataset, _assemble, _check_two_classes, _unchanged
 
 
@@ -39,10 +39,8 @@ class TrainingConfig:
     discriminator_hidden: tuple[int, ...] = (128, 64, 32)
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigInvalidError("epochs must be >= 0")
-        if self.batch_size < 1 or self.noise_dim < 1:
-            raise ConfigInvalidError("batch_size and noise_dim must be positive")
+        at_least(0, epochs=self.epochs)
+        at_least(1, batch_size=self.batch_size, noise_dim=self.noise_dim)
         if not self.generator_hidden or not self.discriminator_hidden:
             raise ConfigInvalidError("hidden layer lists must be non-empty")
 
@@ -188,8 +186,7 @@ def train_cgan(train: Dataset, config: TrainingConfig | None = None, seed: int =
 
 def generate_minority(model: GANModel, n: int, seed: int = 0) -> np.ndarray:
     """Sample n minority-class rows in data space ([0,1] per feature)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    at_least(1, n=n)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, model.config.noise_dim))
     cond = np.full(n, float(MINORITY))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheMismatchError, DimensionMismatchError
+from .errors import CacheMismatchError, DimensionMismatchError, at_least
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -116,8 +116,7 @@ def init_network(layer_dims, activations, dropout_rate: float = 0.0, seed=0) -> 
     rng = np.random.default_rng(seed)  # a Generator is used as it is
     layers = []
     for (fan_in, fan_out), act in zip(dims, activations):
-        if fan_in < 1 or fan_out < 1:
-            raise ValueError(f"layer sizes must be positive, got ({fan_in}, {fan_out})")
+        at_least(1, fan_in=fan_in, fan_out=fan_out)
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         b = np.zeros(fan_out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MINORITY, Dataset, require_both_classes
-from .errors import DimensionMismatchError, MinorityTooSmallError
+from .errors import DimensionMismatchError, MinorityTooSmallError, at_least
 
 
 class KNNIndex:
@@ -39,8 +39,7 @@ class KNNIndex:
             raise DimensionMismatchError(
                 f"query dim {p.shape[0]} != reference dim {self.reference.shape[1]}"
             )
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        at_least(1, k=k)
         sq = np.sum((self.reference - p) ** 2, axis=1)
         keep = np.flatnonzero(sq > 0.0)
         if keep.size > k:
@@ -105,8 +104,7 @@ def random_oversample(train: Dataset, seed: int = 0) -> AugmentedDataset:
 
 
 def _effective_k(k: int, n_minority: int, sampler: str) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    at_least(1, k=k)
     if n_minority < 2:
         raise MinorityTooSmallError(f"{sampler} needs at least 2 minority rows")
     if k > n_minority - 1:
@@ -195,8 +193,7 @@ def borderline_smote(train: Dataset, k: int = 5, m: int = 5, seed: int = 0) -> A
     if gap == 0:
         return _unchanged(train)
     k = _effective_k(k, minority_idx.size, "b-smote")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    at_least(1, m=m)
     r = _majority_fraction(train, minority_idx, m)
     danger = minority_idx[(r >= 0.5) & (r < 1.0)]
     if danger.size == 0:

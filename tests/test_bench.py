@@ -621,6 +621,12 @@ class TestEmitReport:
             assert mean == report.cells[("d", "s", "c")].mean[m]
             assert std == report.cells[("d", "s", "c")].std[m]
 
+    def test_parse_names_a_short_row_by_its_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("dataset,sampler,classifier,metric,mean,std\nd,s,c,f1,0.5,0.1\nd,s,c,recall,0.5\n")
+        with pytest.raises(DimensionMismatchError, match="^line 3: expected 6 cells, got 5$"):
+            parse_metrics_csv(path)
+
     def test_ordinary_names_are_not_quoted(self, tmp_path):
         paths = emit_report(one_cell_report(), None, tmp_path)
         stats = one_cell_report().cells[("d", "s", "c")]

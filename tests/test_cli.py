@@ -42,7 +42,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--minority", "0", "error: counts and feature dimension must be positive"),
+            ("--minority", "0", "error: n_minority must be >= 1, got 0"),
             ("--separation", "nan", "error: features contain non-finite values"),
             ("--out", "nodir/s.csv", "error: "),
         ],
@@ -266,7 +266,7 @@ class TestRunCommand:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: epochs must be >= 0\n"
+        assert capsys.readouterr().err == "error: epochs must be >= 0, got -1\n"
         assert cells == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out_dir", ["taken", "taken/out"])
@@ -494,6 +494,21 @@ class TestRankCommand:
         table.write_text("dataset,classifier,sampler,f1\nd,c,a,0.5\nd,c,b,0.7\nd,c,a,0.9\n")
         assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == "error: more than one F1 for ('d', 'c', 'a')\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("d1,c1,A,0.9\nd1,c1\n", "error: line 3: expected 4 cells, got 2\n"),
+            ("d1,c1,A,0.9,x\nd1,c1,B,0.5\n", "error: line 2: expected 4 cells, got 5\n"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_ragged_row_is_usage_error(self, tmp_path, capsys, rows, message):
+        table = tmp_path / "f1.csv"
+        table.write_text("dataset,classifier,sampler,f1\n" + rows)
+        assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "o.csv").exists()
 
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):

@@ -14,6 +14,7 @@ from imbench.data import (
     load_csv,
     minmax_fit,
     minmax_transform,
+    read_rows,
     save_csv,
     stratified_split,
     train_sizes,
@@ -21,6 +22,7 @@ from imbench.data import (
 from imbench.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
+    ImbenchError,
     MissingColumnError,
     NonBinaryLabelsError,
     NonNumericCellError,
@@ -74,6 +76,22 @@ class TestLoadCsv:
             load_csv(path, "y")
         assert err.value.row == 3 and err.value.col == "b"
 
+    def test_quoted_newline_counts_as_a_line(self, tmp_path):
+        # lines 2 and 3 are one quoted row, so the bad cell is on line 5
+        path = write_csv(tmp_path / "t.csv", 'a,b,y\n"1\n",2,0\n3,4,1\n5,x,0\n')
+        with pytest.raises(NonNumericCellError) as err:
+            load_csv(path, "y")
+        assert err.value.row == 5 and err.value.col == "b"
+
+    def test_repeated_label_column_rejected_before_any_row(self, tmp_path):
+        # a second "y" would be a feature that copies the labels; the row
+        # below is short and non-numeric, so only a header check reaches it
+        path = write_csv(tmp_path / "t.csv", "a,y,y\nx,0\n")
+        with pytest.raises(MissingColumnError) as err:
+            load_csv(path, "y")
+        assert isinstance(err.value, ImbenchError)
+        assert str(err.value) == "label column 'y' appears more than once in header ['a', 'y', 'y']"
+
     def test_inf_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "a,y\ninf,x\n2,z\n")
         with pytest.raises(NonNumericCellError):
@@ -103,6 +121,36 @@ class TestLoadCsv:
         ds, _ = load_csv(PIMA_CSV, "Outcome")
         assert ds.n_rows == 768
         assert ds.n_features == 8
+
+
+class TestReadRows:
+    def test_header_stripped_and_blank_rows_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", " a , b\n1,2\n\n , \n3,4\n")
+        header, rows = read_rows(path)
+        assert header == ["a", "b"]
+        assert list(rows) == [(2, ["1", "2"]), (5, ["3", "4"])]
+
+    def test_empty_file(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "")
+        with pytest.raises(EmptyDatasetError, match="file is empty$"):
+            read_rows(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,y\n1,2,0\n3,4\n", "line 3: expected 3 cells, got 2"),
+            ("a,b,y\n1,2,0,9\n3,4\n", "line 2: expected 3 cells, got 4"),
+            ('a,b,y\n1,"2\n",0\n3,4\n', "line 4: expected 3 cells, got 2"),
+        ],
+        ids=["short", "long-first", "after-quoted-newline"],
+    )
+    def test_ragged_row_names_its_line(self, tmp_path, text, message):
+        header, rows = read_rows(write_csv(tmp_path / "t.csv", text))
+        with pytest.raises(DimensionMismatchError) as err:
+            list(rows)
+        assert str(err.value) == message
+        with pytest.raises(DimensionMismatchError, match=message):
+            load_csv(tmp_path / "t.csv", "y")
 
 
 class TestMinMax:
