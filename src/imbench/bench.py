@@ -457,8 +457,13 @@ def emit_report(
 
 def parse_metrics_csv(path) -> dict[tuple[str, str, str, str], tuple[float, float]]:
     """Inverse of the CSV writer: (dataset, sampler, classifier, metric) ->
-    (mean, std)."""
+    (mean, std). A key on two rows is a ValueError naming the second's line."""
     header, rows = data.read_rows(path)
     if header != METRICS_CSV_HEADER:
         raise ValueError(f"unexpected header {header!r}")
-    return {(d, s, c, m): (float(mean), float(std)) for _, (d, s, c, m, mean, std) in rows}
+    parsed: dict[tuple[str, str, str, str], tuple[float, float]] = {}
+    for line, (d, s, c, m, mean, std) in rows:
+        if (d, s, c, m) in parsed:
+            raise ValueError(f"line {line}: more than one row for {(d, s, c, m)}")
+        parsed[d, s, c, m] = (data.finite_float(line, "mean", mean), data.finite_float(line, "std", std))
+    return parsed

@@ -358,7 +358,8 @@ def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> Fores
     if spec.max_features not in ("sqrt", None):
         raise ValueError(f"unknown max_features {spec.max_features!r}")
     at_least(1, n_trees=spec.n_trees)
-    at_least(0, max_depth=spec.max_depth)
+    if spec.max_depth is not None:  # None grows each tree without a depth cap
+        at_least(0, max_depth=spec.max_depth)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
     x, y, n = train.features, train.labels, train.n_rows
     ranks = _value_ranks(x)

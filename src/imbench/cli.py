@@ -10,13 +10,12 @@ Flags override file values.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import bench
-from .data import read_rows, read_utf8, save_csv
+from .data import finite_float, read_rows, read_utf8, save_csv
 from .errors import ConfigInvalidError, ImbenchError
 from .gan import TrainingConfig
 
@@ -128,12 +127,10 @@ def _cmd_rank(args) -> int:
     header, rows = read_rows(args.f1_table)
     if not required.issubset(header):
         raise ValueError(f"rank input needs columns {sorted(required)}")
-    for _, cells in rows:
+    for line, cells in rows:
         row = dict(zip(header, cells))
         key = (row["dataset"], row["classifier"], row["sampler"])
-        f1 = float(row["f1"])
-        if not math.isfinite(f1):
-            raise ValueError(f"non-finite F1 {row['f1']!r} for {key}")
+        f1 = finite_float(line, "f1", row["f1"])
         if key in table:
             raise ValueError(f"more than one F1 for {key}")
         table[key] = f1

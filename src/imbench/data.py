@@ -41,8 +41,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class Dataset:
     """Row-major numeric feature matrix with binary labels.
 
-    Invariants checked at construction: labels in {0, 1}, all features
-    finite, at least one row and one feature, one name per feature.
+    Invariants checked at construction: labels exactly 0 or 1 (a float
+    label such as 0.5 is rejected, not truncated), all features finite, at
+    least one row and one feature, one name per feature.
     """
 
     features: np.ndarray
@@ -51,7 +52,7 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        labs = np.asarray(self.labels)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise EmptyDatasetError(f"need a non-empty 2-D feature matrix, got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
@@ -68,7 +69,7 @@ class Dataset:
                 f"{len(names)} feature names for {feats.shape[1]} features"
             )
         object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labs))
+        object.__setattr__(self, "labels", _frozen(labs.astype(np.int64)))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -119,36 +120,23 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
     """Read a UTF-8 CSV with a header row into a Dataset, and the mapping of
     raw label values to 0/1.
 
-    The label column must appear once in the header and hold exactly two
-    distinct values; the rarer one is mapped to 1 (ties broken by mapping
-    the lexicographically smaller value to 0). All other columns must parse
-    as finite reals.
+    The label column must be in the header and hold exactly two distinct
+    values; the rarer one is mapped to 1 (ties broken by mapping the
+    lexicographically smaller value to 0). All other cells go through
+    ``finite_float``.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
     header, records = read_rows(path)
     if label_column not in header:
         raise MissingColumnError(f"label column {label_column!r} not in header {header}")
-    if header.count(label_column) > 1:
-        raise MissingColumnError(f"label column {label_column!r} appears more than once in header {header}")
     label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
     rows: list[list[float]] = []
     raw_labels: list[str] = []
     for line_no, rec in records:
-        vals = []
-        for j, cell in enumerate(rec):
-            if j == label_idx:
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise NonNumericCellError(line_no, header[j], cell) from None
-            if not math.isfinite(v):
-                raise NonNumericCellError(line_no, header[j], cell)
-            vals.append(v)
-        rows.append(vals)
+        rows.append([finite_float(line_no, header[j], cell) for j, cell in enumerate(rec) if j != label_idx])
         raw_labels.append(rec[label_idx].strip())
 
     if not rows:
@@ -171,13 +159,17 @@ def load_csv(path: str | os.PathLike, label_column: str) -> tuple[Dataset, dict[
 def read_rows(path: str | os.PathLike) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """A UTF-8 CSV file's header, names stripped, and an iterator over its
     non-blank rows as (line the row ends on, cells). An empty file raises
-    EmptyDatasetError at once, a row whose cell count differs from the
-    header's DimensionMismatchError when reached, so errors keep file order."""
+    EmptyDatasetError and a header naming a column twice MissingColumnError
+    at once; a row whose cell count differs from the header's raises
+    DimensionMismatchError when reached, so errors keep file order."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise EmptyDatasetError(f"{path}: file is empty") from None
+    if len(set(header)) < len(header):
+        twice = next(h for h in header if header.count(h) > 1)
+        raise MissingColumnError(f"column {twice!r} appears more than once in header {header}")
 
     def records():
         for rec in reader:
@@ -189,6 +181,17 @@ def read_rows(path: str | os.PathLike) -> tuple[list[str], Iterator[tuple[int, l
                 yield reader.line_num, rec
 
     return header, records()
+
+
+def finite_float(line: int, column: str, cell: str) -> float:
+    """A numeric CSV cell as a float; NonNumericCellError(line, column, cell)
+    unless it parses as a finite real."""
+    try:
+        if math.isfinite(value := float(cell)):
+            return value
+    except ValueError:
+        pass
+    raise NonNumericCellError(line, column, cell)
 
 
 def read_utf8(path: str | os.PathLike) -> str:

@@ -12,14 +12,14 @@ class ImbenchError(Exception):
 
 
 class MissingColumnError(ImbenchError, KeyError):
-    """A named column is absent from the CSV header."""
+    """A named column is absent from a CSV header, or named twice in one."""
 
     # KeyError's str() is the repr of its argument; print the message as is
     __str__ = Exception.__str__
 
 
 class NonNumericCellError(ImbenchError, ValueError):
-    """A feature cell failed to parse as a finite real.
+    """A numeric CSV cell failed to parse as a finite real.
 
     Attributes:
         row: 1-based CSV line number (header is line 1).
@@ -62,10 +62,14 @@ class ConfigInvalidError(ImbenchError, ValueError):
 
 
 def at_least(low, **values) -> None:
-    """Raise ConfigInvalidError naming the first of ``values`` below ``low``;
-    None (an unlimited setting) has no bound."""
+    """Raise ConfigInvalidError naming the first of ``values`` that is not
+    >= ``low``: one below it, NaN, None, or a value that does not compare."""
     for name, value in values.items():
-        if value is not None and value < low:
+        try:
+            ok = value >= low
+        except TypeError:
+            ok = False
+        if not ok:
             raise ConfigInvalidError(f"{name} must be >= {low}, got {value}")
 
 

@@ -627,6 +627,12 @@ class TestEmitReport:
         with pytest.raises(DimensionMismatchError, match="^line 3: expected 6 cells, got 5$"):
             parse_metrics_csv(path)
 
+    def test_parse_names_a_repeated_key_by_its_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("dataset,sampler,classifier,metric,mean,std\nd,s,c,f1,0.5,0.1\nd,s,c,f1,0.9,0.1\n")
+        with pytest.raises(ValueError, match=r"^line 3: more than one row for \('d', 's', 'c', 'f1'\)$"):
+            parse_metrics_csv(path)
+
     def test_ordinary_names_are_not_quoted(self, tmp_path):
         paths = emit_report(one_cell_report(), None, tmp_path)
         stats = one_cell_report().cells[("d", "s", "c")]

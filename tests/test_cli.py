@@ -478,10 +478,10 @@ class TestRankCommand:
     def test_non_numeric_f1_is_usage_error(self, tmp_path, capsys):
         table = tmp_path / "f1.csv"
         for f1, message in [
-            ("high", "error: could not convert"),
-            ("nan", "error: non-finite F1 'nan' for ('d1', 'c1', 'A')\n"),
-            ("inf", "error: non-finite F1 'inf' for ('d1', 'c1', 'A')\n"),
-            ("-inf", "error: non-finite F1 '-inf' for ('d1', 'c1', 'A')\n"),
+            ("high", "error: non-numeric value 'high' at line 2, column 'f1'\n"),
+            ("nan", "error: non-numeric value 'nan' at line 2, column 'f1'\n"),
+            ("inf", "error: non-numeric value 'inf' at line 2, column 'f1'\n"),
+            ("-inf", "error: non-numeric value '-inf' at line 2, column 'f1'\n"),
         ]:
             table.write_text(f"dataset,classifier,sampler,f1\nd1,c1,A,{f1}\nd1,c1,B,0.5\n")
             assert cli.main(["rank", "--f1-table", str(table), "--out", str(tmp_path / "o.csv")]) == 2

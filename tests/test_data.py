@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from imbench.bench import synth_dataset
+from imbench import cli
+from imbench.bench import parse_metrics_csv, synth_dataset
 from imbench.data import (
     Dataset,
     ImbalanceStats,
@@ -90,7 +91,7 @@ class TestLoadCsv:
         with pytest.raises(MissingColumnError) as err:
             load_csv(path, "y")
         assert isinstance(err.value, ImbenchError)
-        assert str(err.value) == "label column 'y' appears more than once in header ['a', 'y', 'y']"
+        assert str(err.value) == "column 'y' appears more than once in header ['a', 'y', 'y']"
 
     def test_inf_cell_rejected(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "a,y\ninf,x\n2,z\n")
@@ -151,6 +152,60 @@ class TestReadRows:
         assert str(err.value) == message
         with pytest.raises(DimensionMismatchError, match=message):
             load_csv(tmp_path / "t.csv", "y")
+
+
+def input_error(reader, path, capsys, error):
+    """The message a reader gives for a bad file: ``bench rank`` exits 2 with
+    one ``error:`` line and writes nothing; load_csv and parse_metrics_csv
+    (every other reader name) raise ``error``."""
+    if reader == "bench-rank":
+        out = path.with_name("ranks.csv")
+        assert cli.main(["rank", "--f1-table", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        return err[len("error: "):-1]
+    with pytest.raises(error) as err:
+        load_csv(path, "y") if reader == "load_csv" else parse_metrics_csv(path)
+    return str(err.value)
+
+
+# a header naming a column twice, and the error each reader gives for it
+COLUMN_TWICE = {
+    "load_csv": ("a,y,a\n1,0,2\n3,1,4\n", "column 'a' appears more than once in header ['a', 'y', 'a']"),
+    "bench-rank": (
+        "dataset,classifier,sampler,f1,f1\nd1,c1,A,0.9,0.1\nd1,c1,B,0.5,0.6\n",
+        "column 'f1' appears more than once in header ['dataset', 'classifier', 'sampler', 'f1', 'f1']",
+    ),
+}
+
+# a file whose line 3 holds a cell {} in a numeric column, and that column
+BAD_CELL = {
+    "load_csv": ("a,b,y\n1,2,0\n3,{},1\n", "b"),
+    "bench-rank": ("dataset,classifier,sampler,f1\nd1,c1,A,0.9\nd1,c1,B,{}\n", "f1"),
+    "metrics-mean": ("dataset,sampler,classifier,metric,mean,std\nd,s,c,f1,0.5,0.1\nd,s,c,recall,{},0.1\n", "mean"),
+    "metrics-std": ("dataset,sampler,classifier,metric,mean,std\nd,s,c,f1,0.5,0.1\nd,s,c,recall,0.5,{}\n", "std"),
+}
+
+
+class TestInputRules:
+    """The header and cell rules hold for every reader of an input CSV."""
+
+    @pytest.mark.parametrize("reader", COLUMN_TWICE)
+    def test_column_named_twice_rejected(self, tmp_path, capsys, reader):
+        text, message = COLUMN_TWICE[reader]
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert input_error(reader, path, capsys, MissingColumnError) == message
+
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf"])
+    @pytest.mark.parametrize("reader", BAD_CELL)
+    def test_bad_cell_named_by_line_and_column(self, tmp_path, capsys, reader, cell):
+        text, column = BAD_CELL[reader]
+        path = tmp_path / "t.csv"
+        path.write_text(text.format(cell))
+        message = input_error(reader, path, capsys, NonNumericCellError)
+        assert message == f"non-numeric value {cell!r} at line 3, column {column!r}"
 
 
 class TestMinMax:
@@ -342,6 +397,12 @@ class TestDatasetInvariants:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0]]), np.array([2]), ("x",))
+
+    def test_rejects_fractional_labels_keeps_exact_float_ones(self):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            Dataset(np.zeros((3, 1)), np.array([0.5, 1.9, 0.0]), ("a",))
+        ds = Dataset(np.zeros((2, 1)), np.array([1.0, 0.0]), ("a",))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
 
     def test_arrays_frozen(self, make_dataset):
         ds = make_dataset([[1.0]], [1])
