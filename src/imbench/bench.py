@@ -39,6 +39,7 @@ from .errors import (
     SingleClassError,
     TooFewRowsError,
     at_least,
+    in_range,
 )
 from .oversamplers import adasyn, borderline_smote, random_oversample, smote
 
@@ -102,10 +103,9 @@ class ExperimentConfig:
     master_seed: int = 0
     gan_config: gan_mod.TrainingConfig = field(default_factory=gan_mod.TrainingConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         at_least(1, runs=self.runs)
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigInvalidError(f"test_fraction must be in (0,1), got {self.test_fraction}")
+        in_range(0, 1, test_fraction=self.test_fraction)
         if not self.samplers or not self.classifiers:
             raise ConfigInvalidError("need at least one sampler and one classifier")
         datasets = tuple(d[0] for d in self.datasets)
@@ -121,7 +121,8 @@ class ExperimentConfig:
                     raise ConfigInvalidError(f"unknown {kind} {name!r}; choose from {known}")
                 if names.count(name) > 1:
                     raise ConfigInvalidError(f"duplicate {kind} name {name!r}")
-        self.gan_config.validate()
+        if not isinstance(self.gan_config, gan_mod.TrainingConfig):
+            raise ConfigInvalidError(f"gan_config must be a TrainingConfig, got {self.gan_config!r}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,6 @@ def run_benchmark(
     order always meets: cells hold the GIL between numpy calls, so a thread
     pool made the grid slower, not faster.
     """
-    config.validate()
     at_least(1, workers=max_workers)
     unknown = sorted(set(loaded or ()) - {name for name, _, _ in config.datasets})
     if unknown:

@@ -16,13 +16,17 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, require_both_classes
-from .errors import DimensionMismatchError, at_least
+from .errors import ConfigInvalidError, DimensionMismatchError, at_least, in_range
 
 
 @dataclass(frozen=True)
 class LogRegSpec:
     learning_rate: float = 0.1
     iterations: int = 500
+
+    def __post_init__(self):
+        in_range(0, math.inf, learning_rate=self.learning_rate)
+        at_least(0, iterations=self.iterations)
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,14 @@ class ForestSpec:
     bootstrap: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_features not in ("sqrt", None):
+            raise ConfigInvalidError(f"unknown max_features {self.max_features!r}")
+        at_least(1, n_trees=self.n_trees)
+        if self.max_depth is not None:  # None grows each tree without a depth cap
+            at_least(0, max_depth=self.max_depth)
+        at_least(0, seed=self.seed)
+
 
 @dataclass(frozen=True)
 class GBTSpec:
@@ -40,6 +52,10 @@ class GBTSpec:
     max_depth: int = 3
     learning_rate: float = 0.1
     l2: float = 1.0
+
+    def __post_init__(self):
+        at_least(0, rounds=self.rounds, l2=self.l2, max_depth=self.max_depth)
+        in_range(0, math.inf, learning_rate=self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -49,6 +65,11 @@ class MLPSpec:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        at_least(0, epochs=self.epochs, seed=self.seed)
+        at_least(1, hidden=self.hidden, batch_size=self.batch_size)
+        in_range(0, math.inf, learning_rate=self.learning_rate)
 
 
 class TrainedClassifier:
@@ -89,11 +110,9 @@ class LogisticModel(TrainedClassifier):
         return nn.sigmoid(x @ self.weights + self.bias)
 
 
-def train_logreg(train: Dataset, spec: LogRegSpec | None = None) -> LogisticModel:
+def train_logreg(train: Dataset, spec: LogRegSpec = LogRegSpec()) -> LogisticModel:
     """Full-batch gradient descent on mean BCE from zero weights."""
-    spec = spec or LogRegSpec()
     require_both_classes(train, "classifier training")
-    at_least(0, iterations=spec.iterations)
     x, y = train.features, train.labels.astype(np.float64)
     n = train.n_rows
     w, b = np.zeros(train.n_features), 0.0
@@ -351,15 +370,9 @@ class ForestModel(TrainedClassifier):
         return votes / len(self.trees)
 
 
-def train_random_forest(train: Dataset, spec: ForestSpec | None = None) -> ForestModel:
+def train_random_forest(train: Dataset, spec: ForestSpec = ForestSpec()) -> ForestModel:
     """Gini CART trees on bootstrap resamples, majority-vote probability."""
-    spec = spec or ForestSpec()
     require_both_classes(train, "classifier training")
-    if spec.max_features not in ("sqrt", None):
-        raise ValueError(f"unknown max_features {spec.max_features!r}")
-    at_least(1, n_trees=spec.n_trees)
-    if spec.max_depth is not None:  # None grows each tree without a depth cap
-        at_least(0, max_depth=spec.max_depth)
     n_candidates = max(1, int(math.sqrt(train.n_features))) if spec.max_features else None
     x, y, n = train.features, train.labels, train.n_rows
     ranks = _value_ranks(x)
@@ -427,12 +440,10 @@ class BoostedModel(TrainedClassifier):
         return nn.sigmoid(score)
 
 
-def train_gbt(train: Dataset, spec: GBTSpec | None = None) -> BoostedModel:
+def train_gbt(train: Dataset, spec: GBTSpec = GBTSpec()) -> BoostedModel:
     """Additive regression trees fit to logistic-loss gradients with
     Hessian-weighted leaf values, initialized at the prior log-odds."""
-    spec = spec or GBTSpec()
     require_both_classes(train, "classifier training")
-    at_least(0, rounds=spec.rounds, l2=spec.l2, max_depth=spec.max_depth)
     x, y = train.features, train.labels.astype(np.float64)
     prior = float(y.mean())
     base = math.log(prior / (1.0 - prior))
@@ -466,12 +477,9 @@ class MLPModel(TrainedClassifier):
         return out[:, 0]
 
 
-def train_mlp_classifier(train: Dataset, spec: MLPSpec | None = None) -> MLPModel:
+def train_mlp_classifier(train: Dataset, spec: MLPSpec = MLPSpec()) -> MLPModel:
     """Mini-batch Adam on BCE over a ReLU MLP with sigmoid output."""
-    spec = spec or MLPSpec()
     require_both_classes(train, "classifier training")
-    at_least(0, epochs=spec.epochs)
-    at_least(1, batch_size=spec.batch_size)
     rng = np.random.default_rng(spec.seed)
     sizes = [train.n_features, *spec.hidden, 1]
     dims = list(zip(sizes[:-1], sizes[1:]))

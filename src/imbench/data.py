@@ -26,6 +26,7 @@ from .errors import (
     NonNumericCellError,
     SingleClassError,
     TooFewRowsError,
+    in_range,
 )
 
 MINORITY = 1  # the minority and positive class; the other label is 0
@@ -274,8 +275,7 @@ def train_sizes(labels: np.ndarray, test_fraction: float) -> tuple[int, int]:
 def stratified_split(d: Dataset, test_fraction: float, seed: int) -> TrainTestSplit:
     """Seeded per-class shuffle-and-cut split: each class's first
     ``train_sizes`` rows of a permutation train, the rest test."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
+    in_range(0, 1, test_fraction=test_fraction)
     require_both_classes(d, "stratified split")
     sizes = train_sizes(d.labels, test_fraction)
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@
 Builtins are reused where Python already has the right word for it
 (FileNotFoundError for missing files, IndexError for bad layer indices);
 everything domain-specific gets a named class so callers can catch
-precisely. ``at_least`` is the one lower-bound check of numeric settings.
+precisely. ``at_least`` and ``in_range`` are the bound checks of settings.
 """
 
 
@@ -61,16 +61,27 @@ class ConfigInvalidError(ImbenchError, ValueError):
     """A training or experiment configuration violates its invariants."""
 
 
+def _require(rule: str, holds, values: dict) -> None:
+    for name, value in values.items():
+        # a tuple or list, such as hidden widths, is checked item by item
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            try:
+                ok = holds(item)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ConfigInvalidError(f"{name} must be {rule}, got {item}")
+
+
 def at_least(low, **values) -> None:
     """Raise ConfigInvalidError naming the first of ``values`` that is not
     >= ``low``: one below it, NaN, None, or a value that does not compare."""
-    for name, value in values.items():
-        try:
-            ok = value >= low
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ConfigInvalidError(f"{name} must be >= {low}, got {value}")
+    _require(f">= {low}", lambda v: v >= low, values)
+
+
+def in_range(low, high, **values) -> None:
+    """at_least's companion for the open range (low, high), which rejects its ends."""
+    _require(f"in ({low},{high})", lambda v: low < v < high, values)
 
 
 class CacheMismatchError(ImbenchError, ValueError):

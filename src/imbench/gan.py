@@ -38,11 +38,12 @@ class TrainingConfig:
     generator_hidden: tuple[int, ...] = (128, 64)
     discriminator_hidden: tuple[int, ...] = (128, 64, 32)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         at_least(0, epochs=self.epochs)
         at_least(1, batch_size=self.batch_size, noise_dim=self.noise_dim)
         if not self.generator_hidden or not self.discriminator_hidden:
             raise ConfigInvalidError("hidden layer lists must be non-empty")
+        at_least(1, generator_hidden=self.generator_hidden, discriminator_hidden=self.discriminator_hidden)
 
 
 @dataclass
@@ -109,7 +110,6 @@ def _conditioned(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) -> GANModel:
-    config.validate()
     require_both_classes(train, "GAN training")
     x = train.features
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:

@@ -301,21 +301,23 @@ class TestRunBenchmark:
         report = run_benchmark(config)
         assert len(report.cells) == 6
 
+    # each change is made inside pytest.raises, as a bad setting raises when made
     @pytest.mark.parametrize(
         "change, workers",
         [
-            ({"gan_config": TrainingConfig(epochs=-1)}, 1),
-            ({"test_fraction": 1.0}, 1),
-            ({}, 0),
-            ({}, -2),
+            (lambda: {"gan_config": TrainingConfig(epochs=-1)}, 1),
+            (lambda: {"test_fraction": 1.0}, 1),
+            (dict, 0),
+            (dict, -2),
         ],
+        ids=["change0-1", "change1-1", "change2-0", "change3--2"],
     )
     def test_bad_settings_rejected_before_any_cell(self, tmp_path, monkeypatch, change, workers):
         cells = []
         monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
         config = small_config(tmp_path, trivially_separable(), samplers=("none", "cgan"))
         with pytest.raises(ConfigInvalidError):
-            run_benchmark(replace(config, **change), max_workers=workers)
+            run_benchmark(replace(config, **change()), max_workers=workers)
         assert cells == []
 
     @pytest.mark.parametrize(
@@ -329,9 +331,13 @@ class TestRunBenchmark:
         ids=["sampler-twice", "classifier-twice", "unknown-sampler", "unknown-classifier"],
     )
     def test_repeated_or_unknown_name_rejected(self, change, message):
-        config = replace(ExperimentConfig(datasets=(("a", "a.csv", "y"),)), **change)
+        config = ExperimentConfig(datasets=(("a", "a.csv", "y"),))
         with pytest.raises(ConfigInvalidError, match=f"^{re.escape(message)}$"):
-            config.validate()
+            replace(config, **change)
+
+    def test_gan_config_must_be_a_training_config(self):
+        with pytest.raises(ConfigInvalidError, match=r"^gan_config must be a TrainingConfig, got 'x'$"):
+            ExperimentConfig(datasets=(("a", "a.csv", "y"),), gan_config="x")
 
     def test_loaded_names_must_be_configured(self, monkeypatch):
         # a mistyped key is named before any file loads or any cell runs

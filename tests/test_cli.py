@@ -269,6 +269,20 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: epochs must be >= 0, got -1\n"
         assert cells == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "1"])
+    def test_bad_test_fraction_is_named_before_the_out_dir(self, tmp_path, capsys, fraction):
+        # the settings are checked as the config is made, before the output
+        # directory, so the error names the setting even when both are bad
+        (tmp_path / "taken").write_text("a file\n")
+        code = cli.main(
+            [
+                "run", "--dataset", write_toy_csv(tmp_path), "--label-col", "y",
+                "--test-fraction", fraction, "--out-dir", str(tmp_path / "taken"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: test_fraction must be in (0,1), got {float(fraction)}\n"
+
     @pytest.mark.parametrize("out_dir", ["taken", "taken/out"])
     def test_unusable_out_dir_is_usage_error(self, tmp_path, capsys, monkeypatch, out_dir):
         # the output directory is checked before any cell runs

@@ -1,6 +1,8 @@
-"""Smoke test: the quick demos run to completion against the package in src/.
+"""Smoke test: the demos run to completion against the package in src/.
 
-Demo 03 trains GANs for about 9 s and is left to a manual run.
+Demo 03 builds a TrainingConfig and trains both GANs for 200 epochs, in
+about 6-7 s. Demos 05 and 06 run whole benchmark grids and are left to a
+manual run.
 """
 
 import os
@@ -14,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_load_scale_split.py", "02_classic_oversamplers.py", "04_classifiers.py"]
+    "demo",
+    ["01_load_scale_split.py", "02_classic_oversamplers.py", "03_gan_oversampler.py", "04_classifiers.py"],
 )
 def test_demo_exits_zero(demo, tmp_path):
     search = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]

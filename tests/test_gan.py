@@ -51,13 +51,14 @@ class TestTrainingConfig:
         assert model.generator.dropout_rate == model.discriminator.dropout_rate == 0.2
 
     def test_validation(self):
+        # a config checks its fields when it is made
         with pytest.raises(ConfigInvalidError):
-            TrainingConfig(batch_size=0).validate()
+            TrainingConfig(batch_size=0)
         with pytest.raises(ConfigInvalidError):
-            TrainingConfig(noise_dim=0).validate()
+            TrainingConfig(noise_dim=0)
         with pytest.raises(ConfigInvalidError):
-            TrainingConfig(discriminator_hidden=()).validate()
-        TrainingConfig(discriminator_hidden=(8,)).validate()
+            TrainingConfig(discriminator_hidden=())
+        TrainingConfig(discriminator_hidden=(8,))
 
 
 class TestFeatureMatchingLoss:
