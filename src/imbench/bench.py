@@ -108,6 +108,9 @@ class ExperimentConfig:
         in_range(0, 1, test_fraction=self.test_fraction)
         if not self.samplers or not self.classifiers:
             raise ConfigInvalidError("need at least one sampler and one classifier")
+        for entry in self.datasets:
+            if not (isinstance(entry, tuple) and len(entry) == 3 and all(isinstance(s, str) for s in entry)):
+                raise ConfigInvalidError(f"dataset entry {entry!r} must be (name, csv path, label column)")
         datasets = tuple(d[0] for d in self.datasets)
         for kind, names, known in (
             ("sampler", self.samplers, tuple(SAMPLERS)),
@@ -144,7 +147,7 @@ class RankTable:
     per_classifier: dict[str, dict[str, float]]  # classifier -> sampler -> mean rank
 
 
-def _train_gan_with_retry(kind: str, train: Dataset, config, seed: int):
+def _train_gan_with_retry(kind: str, train: Dataset, config: gan_mod.TrainingConfig, seed: int):
     """GAN training is occasionally unstable; retry once with seed+1 before
     declaring the cell failed."""
     trainer = gan_mod.train_sdg_gan if kind == "sdg-gan" else gan_mod.train_cgan
@@ -155,7 +158,7 @@ def _train_gan_with_retry(kind: str, train: Dataset, config, seed: int):
     raise GanDivergenceError(f"{kind}: non-finite losses for seeds {seed} and {seed + 1}")
 
 
-def _gan_balance(kind: str, train: Dataset, seed: int, gan_config) -> Dataset:
+def _gan_balance(kind: str, train: Dataset, seed: int, gan_config: gan_mod.TrainingConfig) -> Dataset:
     model = _train_gan_with_retry(kind, train, gan_config, seed)
     return gan_mod.oversample_to_balance(model, train, seed=stable_seed(seed, "sample")).data
 
@@ -172,7 +175,7 @@ def run_cell(
     classifier: str,
     run_seed: int,
     test_fraction: float = 0.2,
-    gan_config: gan_mod.TrainingConfig | None = None,
+    gan_config: gan_mod.TrainingConfig = gan_mod.TrainingConfig(),
 ) -> tuple[float, float, float]:
     """One experiment cell: split, scale on train, balance train, fit,
     score the held-out split. Deterministic given run_seed."""

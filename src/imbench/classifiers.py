@@ -54,22 +54,22 @@ class GBTSpec:
     l2: float = 1.0
 
     def __post_init__(self):
-        at_least(0, rounds=self.rounds, l2=self.l2, max_depth=self.max_depth)
-        in_range(0, math.inf, learning_rate=self.learning_rate)
+        at_least(0, rounds=self.rounds, max_depth=self.max_depth)
+        in_range(0, math.inf, l2=self.l2, learning_rate=self.learning_rate)
+
+
+MLP_HIDDEN = (64, 32)
+MLP_BATCH_SIZE = 64
+MLP_LEARNING_RATE = 1e-3
 
 
 @dataclass(frozen=True)
 class MLPSpec:
-    hidden: tuple[int, ...] = (64, 32)
     epochs: int = 100
-    batch_size: int = 64
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         at_least(0, epochs=self.epochs, seed=self.seed)
-        at_least(1, hidden=self.hidden, batch_size=self.batch_size)
-        in_range(0, math.inf, learning_rate=self.learning_rate)
 
 
 class TrainedClassifier:
@@ -481,16 +481,16 @@ def train_mlp_classifier(train: Dataset, spec: MLPSpec = MLPSpec()) -> MLPModel:
     """Mini-batch Adam on BCE over a ReLU MLP with sigmoid output."""
     require_both_classes(train, "classifier training")
     rng = np.random.default_rng(spec.seed)
-    sizes = [train.n_features, *spec.hidden, 1]
+    sizes = [train.n_features, *MLP_HIDDEN, 1]
     dims = list(zip(sizes[:-1], sizes[1:]))
-    acts = ["relu"] * len(spec.hidden) + ["sigmoid"]
+    acts = ["relu"] * len(MLP_HIDDEN) + ["sigmoid"]
     net = nn.init_network(dims, acts, seed=rng)
-    opt = nn.AdamState(net.vector, learning_rate=spec.learning_rate)
+    opt = nn.AdamState(net.vector, learning_rate=MLP_LEARNING_RATE)
     x, y = train.features, train.labels.astype(np.float64)
     for _ in range(spec.epochs):
         perm = rng.permutation(train.n_rows)
-        for start in range(0, train.n_rows, spec.batch_size):
-            idx = perm[start : start + spec.batch_size]
+        for start in range(0, train.n_rows, MLP_BATCH_SIZE):
+            idx = perm[start : start + MLP_BATCH_SIZE]
             out, cache = nn.forward(net, x[idx], rng)
             grad = nn.bce_grad(out[:, 0], y[idx])
             nn.adam_step(opt, nn.backward(net, cache, grad.reshape(-1, 1))[0])

@@ -6,6 +6,8 @@ everything domain-specific gets a named class so callers can catch
 precisely. ``at_least`` and ``in_range`` are the bound checks of settings.
 """
 
+import operator
+
 
 class ImbenchError(Exception):
     """Base class for all package-specific errors."""
@@ -63,24 +65,22 @@ class ConfigInvalidError(ImbenchError, ValueError):
 
 def _require(rule: str, holds, values: dict) -> None:
     for name, value in values.items():
-        # a tuple or list, such as hidden widths, is checked item by item
-        for item in value if isinstance(value, (tuple, list)) else (value,):
-            try:
-                ok = holds(item)
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ConfigInvalidError(f"{name} must be {rule}, got {item}")
+        try:
+            ok = holds(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ConfigInvalidError(f"{name} must be {rule}, got {value}")
 
 
 def at_least(low, **values) -> None:
-    """Raise ConfigInvalidError naming the first of ``values`` that is not
-    >= ``low``: one below it, NaN, None, or a value that does not compare."""
-    _require(f">= {low}", lambda v: v >= low, values)
+    """Raise ConfigInvalidError naming the first of ``values`` that is not an
+    integer >= ``low``: one below it, a float such as 2.5 or NaN, or None."""
+    _require(f"an integer >= {low}", lambda v: operator.index(v) >= low, values)
 
 
 def in_range(low, high, **values) -> None:
-    """at_least's companion for the open range (low, high), which rejects its ends."""
+    """at_least's real-valued companion: the open range (low, high), which rejects its ends."""
     _require(f"in ({low},{high})", lambda v: low < v < high, values)
 
 

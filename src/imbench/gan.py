@@ -16,6 +16,7 @@ mapped back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,22 +29,18 @@ from .oversamplers import AugmentedDataset, _assemble, _check_two_classes, _unch
 # the published training settings (Charitou et al., arXiv 2109.12546)
 LEARNING_RATE = 1e-4
 DROPOUT = 0.2
+NOISE_DIM = 50
+GENERATOR_HIDDEN = (128, 64)
+DISCRIMINATOR_HIDDEN = (128, 64, 32)
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int = 100
-    batch_size: int = 64
-    noise_dim: int = 50
-    generator_hidden: tuple[int, ...] = (128, 64)
-    discriminator_hidden: tuple[int, ...] = (128, 64, 32)
+    batch_size: ClassVar[int] = 64  # published, like the constants above: not a field
 
     def __post_init__(self):
         at_least(0, epochs=self.epochs)
-        at_least(1, batch_size=self.batch_size, noise_dim=self.noise_dim)
-        if not self.generator_hidden or not self.discriminator_hidden:
-            raise ConfigInvalidError("hidden layer lists must be non-empty")
-        at_least(1, generator_hidden=self.generator_hidden, discriminator_hidden=self.discriminator_hidden)
 
 
 @dataclass
@@ -93,14 +90,14 @@ def feature_matching_loss(
     return loss, input_grad
 
 
-def _build_networks(n_features: int, config: TrainingConfig, rng) -> tuple[nn.MLPNetwork, nn.MLPNetwork]:
-    g_sizes = [config.noise_dim + 1, *config.generator_hidden, n_features]
+def _build_networks(n_features: int, rng) -> tuple[nn.MLPNetwork, nn.MLPNetwork]:
+    g_sizes = [NOISE_DIM + 1, *GENERATOR_HIDDEN, n_features]
     g_dims = list(zip(g_sizes[:-1], g_sizes[1:]))
-    g_acts = ["relu"] * len(config.generator_hidden) + ["tanh"]
+    g_acts = ["relu"] * len(GENERATOR_HIDDEN) + ["tanh"]
     gen = nn.init_network(g_dims, g_acts, dropout_rate=DROPOUT, seed=rng)
-    d_sizes = [n_features + 1, *config.discriminator_hidden, 1]
+    d_sizes = [n_features + 1, *DISCRIMINATOR_HIDDEN, 1]
     d_dims = list(zip(d_sizes[:-1], d_sizes[1:]))
-    d_acts = ["relu"] * len(config.discriminator_hidden) + ["sigmoid"]
+    d_acts = ["relu"] * len(DISCRIMINATOR_HIDDEN) + ["sigmoid"]
     disc = nn.init_network(d_dims, d_acts, dropout_rate=DROPOUT, seed=rng)
     return gen, disc
 
@@ -116,17 +113,17 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
         raise ConfigInvalidError("GAN expects min-max scaled training data in [0,1]")
 
     rng = np.random.default_rng(seed)
-    gen, disc = _build_networks(train.n_features, config, rng)
-    feat_idx = len(config.discriminator_hidden) - 1  # the deepest hidden layer
+    gen, disc = _build_networks(train.n_features, rng)
+    feat_idx = len(DISCRIMINATOR_HIDDEN) - 1  # the deepest hidden layer
 
     gen_opt = nn.AdamState(gen.vector, learning_rate=LEARNING_RATE)
     disc_opt = nn.AdamState(disc.vector, learning_rate=LEARNING_RATE)
 
-    n, n_feat, noise_dim, batch = train.n_rows, train.n_features, config.noise_dim, config.batch_size
+    n, n_feat, batch = train.n_rows, train.n_features, config.batch_size
     real_cond = _conditioned(2.0 * x - 1.0, train.labels)  # [0,1] -> tanh space
     # every step refills these in place: noise or generated rows, then the
     # batch's label column
-    gen_buf = np.empty((batch, noise_dim + 1))
+    gen_buf = np.empty((batch, NOISE_DIM + 1))
     fake_buf = np.empty((batch, n_feat + 1))
     ones, zeros = np.ones(batch), np.zeros(batch)
     history: list[tuple[float, float]] = []
@@ -139,7 +136,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
             b = idx.size
             real_in = real_cond[idx]
             gen_in, fake_in = gen_buf[:b], fake_buf[:b]
-            gen_in[:, noise_dim] = fake_in[:, n_feat] = real_in[:, n_feat]
+            gen_in[:, NOISE_DIM] = fake_in[:, n_feat] = real_in[:, n_feat]
 
             # discriminator on real rows, target 1
             d_out, d_cache = nn.forward(disc, real_in, rng)
@@ -147,7 +144,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
             nn.adam_step(disc_opt, nn.backward(disc, d_cache, d_grad.reshape(-1, 1))[0])
 
             # discriminator on generated rows (same label mix), target 0
-            gen_in[:, :noise_dim] = rng.standard_normal((b, noise_dim))
+            gen_in[:, :NOISE_DIM] = rng.standard_normal((b, NOISE_DIM))
             fake_in[:, :n_feat] = nn.forward(gen, gen_in)[0]
             d_out, d_cache = nn.forward(disc, fake_in, rng)
             loss_fake, d_grad = nn.bce_loss(d_out[:, 0], zeros[:b])
@@ -155,7 +152,7 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
 
             # generator step: fresh noise, labels matching the real batch; the
             # discriminator's parameter gradients are not needed
-            gen_in[:, :noise_dim] = rng.standard_normal((b, noise_dim))
+            gen_in[:, :NOISE_DIM] = rng.standard_normal((b, NOISE_DIM))
             fake, g_cache = nn.forward(gen, gen_in, rng)
             fake_in[:, :n_feat] = fake
             if objective == "sdg-gan":
@@ -174,21 +171,21 @@ def _train(train: Dataset, config: TrainingConfig, seed: int, objective: str) ->
     return GANModel(gen, disc, config, history)
 
 
-def train_sdg_gan(train: Dataset, config: TrainingConfig | None = None, seed: int = 0) -> GANModel:
+def train_sdg_gan(train: Dataset, config: TrainingConfig = TrainingConfig(), seed: int = 0) -> GANModel:
     """Train the feature-matching conditional GAN on a scaled training set."""
-    return _train(train, config or TrainingConfig(), seed, "sdg-gan")
+    return _train(train, config, seed, "sdg-gan")
 
 
-def train_cgan(train: Dataset, config: TrainingConfig | None = None, seed: int = 0) -> GANModel:
+def train_cgan(train: Dataset, config: TrainingConfig = TrainingConfig(), seed: int = 0) -> GANModel:
     """Train the vanilla conditional GAN baseline (non-saturating BCE generator)."""
-    return _train(train, config or TrainingConfig(), seed, "cgan")
+    return _train(train, config, seed, "cgan")
 
 
 def generate_minority(model: GANModel, n: int, seed: int = 0) -> np.ndarray:
     """Sample n minority-class rows in data space ([0,1] per feature)."""
     at_least(1, n=n)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, model.config.noise_dim))
+    z = rng.standard_normal((n, NOISE_DIM))
     cond = np.full(n, float(MINORITY))
     out, _ = nn.forward(model.generator, _conditioned(z, cond))
     return (out + 1.0) / 2.0

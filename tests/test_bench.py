@@ -327,8 +327,12 @@ class TestRunBenchmark:
             ({"classifiers": ("logreg", "logreg")}, "duplicate classifier name 'logreg'"),
             ({"samplers": ("none", "nope")}, "unknown sampler 'nope'; choose from " + repr(tuple(bench.SAMPLERS))),
             ({"classifiers": ("svm",)}, "unknown classifier 'svm'; choose from " + repr(tuple(bench.CLASSIFIERS))),
+            ({"datasets": (("a", "x.csv"),)}, "dataset entry ('a', 'x.csv') must be (name, csv path, label column)"),
+            ({"datasets": (("a", "x.csv", None),)},
+             "dataset entry ('a', 'x.csv', None) must be (name, csv path, label column)"),
         ],
-        ids=["sampler-twice", "classifier-twice", "unknown-sampler", "unknown-classifier"],
+        ids=["sampler-twice", "classifier-twice", "unknown-sampler", "unknown-classifier", "dataset-pair",
+             "dataset-no-label"],
     )
     def test_repeated_or_unknown_name_rejected(self, change, message):
         config = ExperimentConfig(datasets=(("a", "a.csv", "y"),))

@@ -1,11 +1,15 @@
 import hashlib
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from imbench import nn
 from imbench.classifiers import (
+    MLP_BATCH_SIZE,
+    MLP_HIDDEN,
+    MLP_LEARNING_RATE,
     ForestSpec,
     GBTSpec,
     LogRegSpec,
@@ -542,9 +546,7 @@ class TestMLP:
         assert np.all(np.abs(probs - 0.5) < 0.2)
 
     def test_xor_is_learnable(self):
-        model = train_mlp_classifier(
-            XOR, MLPSpec(hidden=(8,), epochs=2000, batch_size=4, learning_rate=1e-2, seed=0)
-        )
+        model = train_mlp_classifier(XOR, MLPSpec(epochs=2000, seed=0))
         assert np.array_equal(predict_labels(model, XOR.features), XOR.labels)
 
     def test_probabilities_in_open_unit_interval(self):
@@ -559,10 +561,18 @@ class TestMLP:
         b = train_mlp_classifier(ds, MLPSpec(epochs=3, seed=2))
         assert np.array_equal(a.predict_proba(ds.features), b.predict_proba(ds.features))
 
-    @pytest.mark.parametrize("field, value", [("epochs", -2), ("batch_size", 0), ("batch_size", -4)])
+    @pytest.mark.parametrize("field, value", [("epochs", -2)])
     def test_invalid_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             train_mlp_classifier(separable_1d(), MLPSpec(**{field: value}))
+
+    def test_architecture_and_optimizer_are_constants(self):
+        assert (MLP_HIDDEN, MLP_BATCH_SIZE, MLP_LEARNING_RATE) == ((64, 32), 64, 1e-3)
+        # the epoch budget and the seed are the settings
+        assert [f.name for f in fields(MLPSpec)] == ["epochs", "seed"]
+        for name in ("hidden", "batch_size", "learning_rate"):
+            with pytest.raises(TypeError):
+                MLPSpec(**{name: 1})
 
 
 class TestPredictLabels:

@@ -42,7 +42,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--minority", "0", "error: n_minority must be >= 1, got 0"),
+            ("--minority", "0", "error: n_minority must be an integer >= 1, got 0"),
             ("--separation", "nan", "error: features contain non-finite values"),
             ("--out", "nodir/s.csv", "error: "),
         ],
@@ -253,7 +253,7 @@ class TestRunCommand:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert capsys.readouterr().err == f"error: workers must be an integer >= 1, got {workers}\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_gan_epochs_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -266,7 +266,7 @@ class TestRunCommand:
             ]
         )
         assert code == 2
-        assert capsys.readouterr().err == "error: epochs must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: epochs must be an integer >= 0, got -1\n"
         assert cells == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fraction", ["nan", "inf", "1"])

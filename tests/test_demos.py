@@ -1,4 +1,5 @@
-"""Smoke test: the demos run to completion against the package in src/.
+"""Smoke test: the demos and the README quickstart run to completion against
+the package in src/.
 
 Demo 03 builds a TrainingConfig and trains both GANs for 200 epochs, in
 about 6-7 s. Demos 05 and 06 run whole benchmark grids and are left to a
@@ -6,11 +7,14 @@ manual run.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from imbench import save_csv, synth_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +32,12 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    # the README's one python block, run where it finds the my_data.csv it reads
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [quickstart] = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    save_csv(synth_dataset(20, 60, 3, 0.3), tmp_path / "my_data.csv", label_column="target")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(quickstart, "README.md", "exec"), {})

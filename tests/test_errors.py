@@ -31,7 +31,7 @@ def table():
 # the construction
 BOUND_SITES = {
     "runs": ("bench.ExperimentConfig.__post_init__", lambda v: ExperimentConfig(datasets=ONE_DATASET, runs=v),
-             0, "runs must be >= 1, got 0"),
+             0, "runs must be an integer >= 1, got 0"),
     "test_fraction": ("bench.ExperimentConfig.__post_init__",
                       lambda v: ExperimentConfig(datasets=ONE_DATASET, test_fraction=v),
                       -0.5, "test_fraction must be in (0,1), got -0.5"),
@@ -39,65 +39,49 @@ BOUND_SITES = {
                             1.5, "test_fraction must be in (0,1), got 1.5"),
     "workers": ("bench.run_benchmark",
                 lambda v: run_benchmark(ExperimentConfig(datasets=ONE_DATASET), max_workers=v),
-                0, "workers must be >= 1, got 0"),
+                0, "workers must be an integer >= 1, got 0"),
     "synth-minority": ("bench.synth_dataset", lambda v: synth_dataset(v, 5, 2, 0.3),
-                       0, "n_minority must be >= 1, got 0"),
+                       0, "n_minority must be an integer >= 1, got 0"),
     "synth-majority": ("bench.synth_dataset", lambda v: synth_dataset(5, v, 2, 0.3),
-                       -1, "n_majority must be >= 1, got -1"),
+                       -1, "n_majority must be an integer >= 1, got -1"),
     "synth-features": ("bench.synth_dataset", lambda v: synth_dataset(5, 5, v, 0.3),
-                       0, "n_features must be >= 1, got 0"),
+                       0, "n_features must be an integer >= 1, got 0"),
     "gan-epochs": ("gan.TrainingConfig.__post_init__", lambda v: TrainingConfig(epochs=v),
-                   -1, "epochs must be >= 0, got -1"),
-    "gan-batch": ("gan.TrainingConfig.__post_init__", lambda v: TrainingConfig(batch_size=v),
-                  0, "batch_size must be >= 1, got 0"),
-    "gan-noise": ("gan.TrainingConfig.__post_init__", lambda v: TrainingConfig(noise_dim=v),
-                  0, "noise_dim must be >= 1, got 0"),
-    "gan-generator_hidden": ("gan.TrainingConfig.__post_init__",
-                             lambda v: TrainingConfig(generator_hidden=(16, v)),
-                             0, "generator_hidden must be >= 1, got 0"),
-    "gan-discriminator_hidden": ("gan.TrainingConfig.__post_init__",
-                                 lambda v: TrainingConfig(discriminator_hidden=(v,)),
-                                 -3, "discriminator_hidden must be >= 1, got -3"),
+                   -1, "epochs must be an integer >= 0, got -1"),
     "gan-n": ("gan.generate_minority",
               lambda v: generate_minority(train_cgan(table(), TrainingConfig(epochs=0)), v),
-              0, "n must be >= 1, got 0"),
+              0, "n must be an integer >= 1, got 0"),
     "knn-k": ("oversamplers.KNNIndex.query", lambda v: KNNIndex(np.eye(2)).query(np.zeros(2), v),
-              0, "k must be >= 1, got 0"),
-    "smote-k": ("oversamplers._effective_k", lambda v: smote(table(), k=v), 0, "k must be >= 1, got 0"),
+              0, "k must be an integer >= 1, got 0"),
+    "smote-k": ("oversamplers._effective_k", lambda v: smote(table(), k=v), 0, "k must be an integer >= 1, got 0"),
     "b-smote-m": ("oversamplers.borderline_smote", lambda v: borderline_smote(table(), m=v),
-                  0, "m must be >= 1, got 0"),
+                  0, "m must be an integer >= 1, got 0"),
     "fan-in": ("nn.init_network", lambda v: nn.init_network([(v, 2)], ["relu"]),
-               0, "fan_in must be >= 1, got 0"),
+               0, "fan_in must be an integer >= 1, got 0"),
     "fan-out": ("nn.init_network", lambda v: nn.init_network([(2, v)], ["relu"]),
-                0, "fan_out must be >= 1, got 0"),
+                0, "fan_out must be an integer >= 1, got 0"),
     "logreg-learning_rate": ("classifiers.LogRegSpec.__post_init__", lambda v: LogRegSpec(learning_rate=v),
                              -1.0, "learning_rate must be in (0,inf), got -1.0"),
     "logreg-iterations": ("classifiers.LogRegSpec.__post_init__", lambda v: LogRegSpec(iterations=v),
-                          -1, "iterations must be >= 0, got -1"),
+                          -1, "iterations must be an integer >= 0, got -1"),
     "rf-n_trees": ("classifiers.ForestSpec.__post_init__", lambda v: ForestSpec(n_trees=v, max_depth=-1),
-                   0, "n_trees must be >= 1, got 0"),
+                   0, "n_trees must be an integer >= 1, got 0"),
     "rf-max_depth": ("classifiers.ForestSpec.__post_init__", lambda v: ForestSpec(max_depth=v),
-                     -1, "max_depth must be >= 0, got -1"),
+                     -1, "max_depth must be an integer >= 0, got -1"),
     "rf-seed": ("classifiers.ForestSpec.__post_init__", lambda v: ForestSpec(seed=v),
-                -1, "seed must be >= 0, got -1"),
-    "gbt-rounds": ("classifiers.GBTSpec.__post_init__", lambda v: GBTSpec(rounds=v, l2=-1.0),
-                   -1, "rounds must be >= 0, got -1"),
-    "gbt-l2": ("classifiers.GBTSpec.__post_init__", lambda v: GBTSpec(l2=v, max_depth=-1),
-               -1.0, "l2 must be >= 0, got -1.0"),
+                -1, "seed must be an integer >= 0, got -1"),
+    "gbt-rounds": ("classifiers.GBTSpec.__post_init__", lambda v: GBTSpec(rounds=v, max_depth=-1),
+                   -1, "rounds must be an integer >= 0, got -1"),
+    "gbt-l2": ("classifiers.GBTSpec.__post_init__", lambda v: GBTSpec(l2=v, learning_rate=-1.0),
+               -1.0, "l2 must be in (0,inf), got -1.0"),
     "gbt-max_depth": ("classifiers.GBTSpec.__post_init__", lambda v: GBTSpec(max_depth=v),
-                      -1, "max_depth must be >= 0, got -1"),
+                      -1, "max_depth must be an integer >= 0, got -1"),
     "gbt-learning_rate": ("classifiers.GBTSpec.__post_init__", lambda v: GBTSpec(learning_rate=v),
                           -1.0, "learning_rate must be in (0,inf), got -1.0"),
-    "mlp-epochs": ("classifiers.MLPSpec.__post_init__", lambda v: MLPSpec(epochs=v, batch_size=0),
-                   -1, "epochs must be >= 0, got -1"),
+    "mlp-epochs": ("classifiers.MLPSpec.__post_init__", lambda v: MLPSpec(epochs=v, seed=-1),
+                   -1, "epochs must be an integer >= 0, got -1"),
     "mlp-seed": ("classifiers.MLPSpec.__post_init__", lambda v: MLPSpec(seed=v),
-                 -1, "seed must be >= 0, got -1"),
-    "mlp-hidden": ("classifiers.MLPSpec.__post_init__", lambda v: MLPSpec(hidden=(v,)),
-                   0, "hidden must be >= 1, got 0"),
-    "mlp-batch_size": ("classifiers.MLPSpec.__post_init__", lambda v: MLPSpec(batch_size=v),
-                       0, "batch_size must be >= 1, got 0"),
-    "mlp-learning_rate": ("classifiers.MLPSpec.__post_init__", lambda v: MLPSpec(learning_rate=v),
-                          -1.0, "learning_rate must be in (0,inf), got -1.0"),
+                 -1, "seed must be an integer >= 0, got -1"),
 }
 
 
@@ -126,6 +110,11 @@ def test_every_bound_rejects_none(site):
     rejects(site, None)
 
 
+@pytest.mark.parametrize("site", [site for site, entry in BOUND_SITES.items() if " must be an integer >= " in entry[3]])
+def test_every_integer_bound_rejects_a_fraction(site):
+    rejects(site, 2.5)
+
+
 @pytest.mark.parametrize("site", [site for site, entry in BOUND_SITES.items() if " must be in (" in entry[3]])
 def test_every_open_range_rejects_its_ends_and_inf(site):
     low, high = re.search(r" must be in \((.+),(.+)\)", BOUND_SITES[site][3]).groups()
@@ -134,14 +123,16 @@ def test_every_open_range_rejects_its_ends_and_inf(site):
 
 
 def test_at_least_names_the_first_value_below_or_none():
-    at_least(0, a=0, c=2.5, widths=(1, 2))
+    at_least(0, a=0, c=np.int64(2))
     for values, message in [
-        ({"a": 1, "b": 0, "c": -3}, "b must be >= 1, got 0"),
-        ({"a": None, "b": 0}, "a must be >= 1, got None"),
-        ({"a": float("nan")}, "a must be >= 1, got nan"),
-        ({"a": "2"}, "a must be >= 1, got 2"),
-        ({"widths": (4, 0, -1)}, "widths must be >= 1, got 0"),
-        ({"widths": [3, -1]}, "widths must be >= 1, got -1"),
+        ({"a": 1, "b": 0, "c": -3}, "b must be an integer >= 1, got 0"),
+        ({"a": None, "b": 0}, "a must be an integer >= 1, got None"),
+        ({"a": float("nan")}, "a must be an integer >= 1, got nan"),
+        ({"a": "2"}, "a must be an integer >= 1, got 2"),
+        ({"a": 2.0}, "a must be an integer >= 1, got 2.0"),
+        ({"a": np.float64(3.0)}, "a must be an integer >= 1, got 3.0"),
+        # a tuple is one value, not a list of settings
+        ({"widths": (4, 1)}, "widths must be an integer >= 1, got (4, 1)"),
     ]:
         with pytest.raises(ConfigInvalidError) as err:
             at_least(1, **values)
@@ -204,8 +195,8 @@ UNBOUNDED = {(ExperimentConfig, "master_seed")}
 
 @pytest.mark.parametrize("kind", SETTINGS, ids=lambda kind: kind.__name__)
 def test_every_numeric_field_of_a_settings_type_is_bounded_when_made(kind):
-    # an int or float field, or a tuple of ints such as hidden widths, needs
-    # a bound call in the type's __post_init__ and a site that reaches it
+    # an int or float field needs a bound call in the type's __post_init__
+    # and a site that reaches it
     where = f"{kind.__module__.removeprefix('imbench.')}.{kind.__name__}.__post_init__"
     numeric = [f.name for f in fields(kind)
                if re.search(r"\b(int|float)\b", f.type) and (kind, f.name) not in UNBOUNDED]

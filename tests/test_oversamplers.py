@@ -202,7 +202,7 @@ class TestBorderlineSmote:
         monkeypatch.setattr(ovs, "_neighbors", no_search)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="m must be >= 1"):
+            with pytest.raises(ValueError, match="m must be an integer >= 1"):
                 borderline_smote(make_dataset(*DANGER_PAIR), k=1, m=m, seed=0)
 
     def test_sources_always_in_danger_set(self):
