@@ -75,8 +75,8 @@ def _require(rule: str, holds, values: dict) -> None:
 
 def at_least(low, **values) -> None:
     """Raise ConfigInvalidError naming the first of ``values`` that is not an
-    integer >= ``low``: one below it, a float such as 2.5 or NaN, or None."""
-    _require(f"an integer >= {low}", lambda v: operator.index(v) >= low, values)
+    integer >= ``low``: one below it, a float such as 2.5 or NaN, a bool or None."""
+    _require(f"an integer >= {low}", lambda v: not isinstance(v, bool) and operator.index(v) >= low, values)
 
 
 def in_range(low, high, **values) -> None:

@@ -80,7 +80,7 @@ def feature_matching_loss(
     if not 0 <= feature_layer_index < len(disc.layers):
         raise IndexError(f"feature_layer_index {feature_layer_index} out of range")
     depth = feature_layer_index + 1
-    real_feat, _ = nn.forward(disc, real, depth=depth)
+    real_feat = nn.forward(disc, real, depth=depth)[0]
     fake_out, fake_cache = nn.forward(disc, fake, depth=depth)
     diff = real_feat.mean(axis=0) - fake_out.mean(axis=0)
     loss = float(np.dot(diff, diff))

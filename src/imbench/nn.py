@@ -220,7 +220,7 @@ ADAM_EPSILON = 1e-8
 
 class AdamState:
     """The parameter vector ``adam_step`` updates in place (a network's
-    ``vector``), its moments, scratch space and the step counter."""
+    ``vector``), its moments, one scratch vector and the step counter."""
 
     def __init__(self, params: np.ndarray, learning_rate=1e-4):
         if not (isinstance(params, np.ndarray) and params.dtype == np.float64):
@@ -228,7 +228,7 @@ class AdamState:
         self.params = params
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self.scratch = (np.empty_like(params), np.empty_like(params))
+        self.scratch = np.empty_like(params)
         self.t = 0
         self.learning_rate = float(learning_rate)
 
@@ -237,9 +237,10 @@ def adam_step(state: AdamState, grad: np.ndarray) -> None:
     """One bias-corrected Adam update of ``state.params``, ``state.m`` and
     ``state.v`` in place, from a gradient vector laid out like
     ``state.params`` (the gradient a backward pass through the same network
-    returns). Input that does not match is rejected before anything
-    changes."""
-    g = np.asarray(grad, dtype=np.float64)
+    returns), which then holds the step subtracted from the parameters; a
+    gradient that is not a writable float64 array is copied first and left
+    as it is. Input that does not match is rejected before anything changes."""
+    g = np.require(grad, np.float64, "W")
     if g.shape != state.params.shape:
         raise DimensionMismatchError(
             f"gradient shape {g.shape} does not match parameter shape {state.params.shape}"
@@ -247,10 +248,10 @@ def adam_step(state: AdamState, grad: np.ndarray) -> None:
     state.t += 1
     b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.learning_rate
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    m, v, (s, u) = state.m, state.v, state.scratch
+    m, v, s = state.m, state.v, state.scratch
     # the same operations, in the same order, as m = b1*m + (1-b1)*g,
     # v = b2*v + (1-b2)*g*g and p -= lr*(m/c1) / (sqrt(v/c2) + eps), each
-    # over the whole vector, into the scratch buffers
+    # over the whole vector, into the scratch vector and, after v, into g
     m *= b1
     np.multiply(g, 1.0 - b1, out=s)
     m += s
@@ -261,10 +262,10 @@ def adam_step(state: AdamState, grad: np.ndarray) -> None:
     np.divide(v, c2, out=s)
     np.sqrt(s, out=s)
     s += ADAM_EPSILON
-    np.divide(m, c1, out=u)
-    u *= lr
-    u /= s
-    state.params -= u
+    np.divide(m, c1, out=g)
+    g *= lr
+    g /= s
+    state.params -= g
 
 
 PROB_EPS = 1e-7

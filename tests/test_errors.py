@@ -115,6 +115,12 @@ def test_every_integer_bound_rejects_a_fraction(site):
     rejects(site, 2.5)
 
 
+# bool subclasses int, so operator.index(True) is 1
+@pytest.mark.parametrize("site", [site for site, entry in BOUND_SITES.items() if " must be an integer >= " in entry[3]])
+def test_every_integer_bound_rejects_a_bool(site):
+    rejects(site, True)
+
+
 @pytest.mark.parametrize("site", [site for site, entry in BOUND_SITES.items() if " must be in (" in entry[3]])
 def test_every_open_range_rejects_its_ends_and_inf(site):
     low, high = re.search(r" must be in \((.+),(.+)\)", BOUND_SITES[site][3]).groups()

@@ -1,4 +1,5 @@
 import copy
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -118,6 +119,28 @@ class TestFeatureMatchingLoss:
         after = feature_matching_loss(disc, real, fake, 1)[0]
         assert after != before
         assert after == feature_matching_loss(updated, real, fake, 1)[0]
+
+    def test_real_prefix_pass_is_freed_before_the_fake_one(self, monkeypatch):
+        # the real pass's intermediates (every pre-activation, every layer
+        # input after the first) must be dead when the fake pass allocates;
+        # the caller's batch and the returned features stay alive
+        disc = nn.init_network([(3, 6), (6, 5), (5, 4), (4, 1)], ["relu"] * 3 + ["sigmoid"], seed=0)
+        real, fake = np.random.default_rng(0).random((2, 5, 3))
+        refs, alive_at_fake = [], []
+        forward = nn.forward
+
+        def recording_forward(net, batch, rng=None, depth=None):
+            if refs:
+                alive_at_fake.extend(ref() is not None for ref in refs)
+            out, cache = forward(net, batch, rng, depth)
+            if not refs:
+                refs.extend(weakref.ref(a) for a in cache.pre + cache.inputs[1:])
+            return out, cache
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        feature_matching_loss(disc, real, fake, 2)
+        assert len(refs) == 5 and len(alive_at_fake) == 5
+        assert not any(alive_at_fake)
 
     def test_empty_batch_rejected(self):
         disc = nn.init_network([(2, 3), (3, 1)], ["relu", "sigmoid"], seed=0)

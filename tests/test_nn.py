@@ -329,6 +329,34 @@ class TestAdam:
             assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m]))
             assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v]))
 
+    def test_one_scratch_vector_and_the_step_left_in_the_gradient(self):
+        rng = np.random.default_rng(3)
+        params = rng.standard_normal(7)
+        state = nn.AdamState(params, learning_rate=0.1)
+        assert isinstance(state.scratch, np.ndarray)
+        assert state.scratch.dtype == np.float64 and state.scratch.shape == params.shape
+        for _ in range(3):
+            g, before = rng.standard_normal(7), params.copy()
+            nn.adam_step(state, g)
+            assert np.array_equal(before - g, params)
+
+    @pytest.mark.parametrize("kind", ["read-only", "float32"])
+    def test_a_gradient_it_cannot_write_is_copied_and_left_as_it_is(self, kind):
+        rng = np.random.default_rng(4)
+        start = rng.standard_normal(5)
+        given, written = nn.AdamState(start.copy(), 0.1), nn.AdamState(start.copy(), 0.1)
+        for _ in range(3):
+            g = rng.standard_normal(5)
+            if kind == "float32":
+                g = g.astype(np.float32)
+            else:
+                g.flags.writeable = False
+            kept = g.copy()
+            nn.adam_step(given, g)
+            nn.adam_step(written, g.astype(np.float64))
+            assert np.array_equal(g, kept)
+            assert np.array_equal(given.params, written.params)
+
     def test_integer_weights_are_trainable(self):
         net = nn.MLPNetwork([nn.Layer(np.array([[1]]), np.array([0]), "identity")])
         out, cache = nn.forward(net, np.ones((2, 1)))
